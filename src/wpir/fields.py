@@ -1,25 +1,54 @@
 """Exact arithmetic over prime fields GF(q) and dense linear algebra.
 
-Everything here is exact: no floating point, no tolerances.  Elements are
-immutable and safe to share across threads.
+Everything here is exact: no floating point, no tolerances.
+`FieldElement` is the scalar API: an immutable residue tagged with its
+field.  `FieldMatrix` stores its entries as a read-only 2-D numpy array
+of residues in [0:q-1] and boxes an entry into a `FieldElement` only when
+it is read.  The array is int64 when (q-1)^2 fits a signed 64-bit word,
+so every product of two residues is exact, and holds Python ints
+(dtype object) otherwise; one code path serves both.  Elements and
+matrices are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+# Miller-Rabin with these bases decides primality exactly below the bound
+# (Sorenson and Webster, 2015); trial division covers the rest.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        d = 41
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -157,10 +186,33 @@ class FieldElement:
         return f"{self.value}"
 
 
-class FieldMatrix:
-    """A rectangular matrix of FieldElements over one field."""
+def _residues(data, q: int) -> np.ndarray:
+    """A fresh read-only 2-D array of data reduced mod q.
 
-    __slots__ = ("rows", "cols", "field", "_data")
+    int64 when every product of two residues fits, else Python ints.
+    """
+    dtype = np.int64 if (q - 1) ** 2 < 2**63 else object
+    try:
+        arr = np.array(data, dtype=dtype)
+    except OverflowError:
+        arr = np.array(data, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError("matrix data must be a rectangular list of rows")
+    if arr.size == 0:
+        raise ValueError("matrix must be nonempty")
+    arr = (arr % q).astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
+class FieldMatrix:
+    """A rectangular matrix over one field, stored as residues mod q.
+
+    `residues` is the read-only numpy array of entries; indexing, `row`
+    and `column` box the entries they return as FieldElements.
+    """
+
+    __slots__ = ("rows", "cols", "field", "residues")
 
     def __init__(self, data):
         rows = [tuple(r) for r in data]
@@ -174,70 +226,79 @@ class FieldMatrix:
             for e in r:
                 if not isinstance(e, FieldElement) or e.field != fld:
                     raise ValueError("all entries must share one field")
-        self._data = tuple(rows)
-        self.rows = len(rows)
-        self.cols = ncols
+        self._set(_residues([[e.value for e in r] for r in rows], fld.q), fld)
+
+    def _set(self, residues: np.ndarray, fld: PrimeField) -> None:
+        self.residues = residues
+        self.rows, self.cols = residues.shape
         self.field = fld
 
     @classmethod
+    def _wrap(cls, residues: np.ndarray, fld: PrimeField) -> "FieldMatrix":
+        """Adopt an array already reduced mod q, of the field's dtype."""
+        residues.setflags(write=False)
+        mat = cls.__new__(cls)
+        mat._set(residues, fld)
+        return mat
+
+    @classmethod
     def from_ints(cls, data, fld: PrimeField) -> "FieldMatrix":
-        return cls([[fld(v) for v in row] for row in data])
+        """Rows of ints (or a 2-D integer array), reduced mod q."""
+        return cls._wrap(_residues(data, fld.q), fld)
 
     @classmethod
     def identity(cls, n: int, fld: PrimeField) -> "FieldMatrix":
-        return cls.from_ints([[1 if i == j else 0 for j in range(n)] for i in range(n)], fld)
+        return cls.from_ints(np.eye(n, dtype=np.int64), fld)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, fld: PrimeField) -> "FieldMatrix":
-        return cls.from_ints([[0] * cols for _ in range(rows)], fld)
+        return cls.from_ints(np.zeros((rows, cols), dtype=np.int64), fld)
+
+    def _box(self, v) -> FieldElement:
+        return FieldElement(int(v), self.field)
 
     def __getitem__(self, idx) -> FieldElement:
         i, j = idx
-        return self._data[i][j]
+        return self._box(self.residues[i, j])
 
     def row(self, i: int):
-        return self._data[i]
+        return tuple(self._box(v) for v in self.residues[i])
 
     def column(self, j: int):
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple(self._box(v) for v in self.residues[:, j])
 
     def to_ints(self) -> list[list[int]]:
-        return [[e.value for e in r] for r in self._data]
+        return self.residues.tolist()
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            out.append([
-                sum((self._data[i][t] * other._data[t][j] for t in range(self.cols)), z)
-                for j in range(other.cols)
-            ])
-        return FieldMatrix(out)
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return FieldMatrix([
-            [self._data[i][j] + other._data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        if other.field != self.field:
+            raise ValueError(f"cannot combine matrices over {self.field} and {other.field}")
+        q = self.field.q
+        a, b = self.residues, other.residues
+        if a.dtype != object and self.cols * (q - 1) ** 2 >= 2**63:
+            # the dot products could overflow int64; sum Python ints instead
+            a, b = a.astype(object), b.astype(object)
+        prod = (a @ b) % q
+        return FieldMatrix._wrap(prod.astype(self.residues.dtype, copy=False), self.field)
 
     def submatrix(self, row_idx, col_idx) -> "FieldMatrix":
-        return FieldMatrix([[self._data[i][j] for j in col_idx] for i in row_idx])
+        sub = self.residues[np.ix_(list(row_idx), list(col_idx))]
+        return FieldMatrix._wrap(sub, self.field)
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
-            and self._data == other._data
+            and self.field == other.field
+            and np.array_equal(self.residues, other.residues)
         )
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self.field.q, self.residues.shape, tuple(self.residues.flat)))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in r) for r in self._data)
+        body = "; ".join(" ".join(str(v) for v in r) for r in self.to_ints())
         return f"FieldMatrix[{body}]"
 
 
@@ -245,8 +306,8 @@ def mat_vec(a: FieldMatrix, v) -> tuple:
     """a @ v for a plain sequence v of FieldElements."""
     if a.cols != len(v):
         raise ValueError("shape mismatch")
-    z = a.field.zero()
-    return tuple(sum((a[i, j] * v[j] for j in range(a.cols)), z) for i in range(a.rows))
+    col = FieldMatrix.from_ints([[int(e)] for e in v], a.field)
+    return (a @ col).column(0)
 
 
 @dataclass(frozen=True)
@@ -256,7 +317,9 @@ class LinearSolution:
     status is "unique", "underdetermined" or "infeasible".  For feasible
     systems, `solution` is the particular solution with free variables set
     to zero, and `determined[v]` says whether unknown v takes the same
-    value in every solution.
+    value in every solution.  `reduced_rows` holds the nonzero rows of the
+    reduced echelon form of A; it is None for an infeasible system or a
+    zero A.
     """
 
     status: str
@@ -264,73 +327,89 @@ class LinearSolution:
     free_cols: tuple[int, ...]
     solution: tuple | None
     determined: tuple[bool, ...]
-    reduced_rows: tuple = field(repr=False, default=())
-    reduced_rhs: tuple = field(repr=False, default=())
+    reduced_rows: FieldMatrix | None = field(repr=False, default=None)
 
     @property
     def is_feasible(self) -> bool:
         return self.status != "infeasible"
 
 
+def _rhs_residues(fld: PrimeField, b, dtype) -> np.ndarray:
+    """The right-hand side as residues; entries are ints or FieldElements."""
+    out = []
+    for v in b:
+        if isinstance(v, FieldElement):
+            if v.field != fld:
+                raise ValueError(f"cannot combine elements of {fld} and {v.field}")
+            out.append(v.value)
+        else:
+            out.append(int(v) % fld.q)
+    return np.array(out, dtype=dtype)
+
+
 def solve_linear(a: FieldMatrix, b) -> LinearSolution:
     """Gaussian elimination of [A | b] over GF(q) to reduced echelon form.
 
-    Pivots on the first nonzero entry in each column.  Inconsistency is
-    reported through the status, never raised.
+    Pivots on the first nonzero entry at or below the current row in each
+    column, and clears that column from every other row in one array
+    update.  b holds ints or FieldElements of A's field.  Inconsistency
+    is reported through the status, never raised.
     """
     if a.rows != len(b):
         raise ValueError(f"A has {a.rows} rows but b has {len(b)} entries")
     fld = a.field
+    q = fld.q
     n = a.cols
-    rows = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
+    m = np.empty((a.rows, n + 1), dtype=a.residues.dtype)
+    m[:, :n] = a.residues
+    m[:, n] = _rhs_residues(fld, b, m.dtype)
 
     pivot_cols: list[int] = []
-    pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c].value != 0), None)
-        if pr is None:
+        if r == a.rows:
+            break
+        below = m[r:, c].nonzero()[0]
+        if not below.size:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c].value != 0:
-                f = rows[i][c]
-                rows[i] = [ei - f * ej for ei, ej in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
+        pr = r + int(below[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        # entries left of c in the pivot row are already zero
+        pivot = m[r, c:] * pow(int(m[r, c]), q - 2, q) % q
+        m[r, c:] = pivot
+        factors = m[:, c].copy()
+        factors[r] = 0
+        hit = factors.nonzero()[0]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - factors[hit, None] * pivot) % q
         pivot_cols.append(c)
         r += 1
-        if r == len(rows):
-            break
 
+    pivot_set = set(pivot_cols)
+    free_cols = tuple(c for c in range(n) if c not in pivot_set)
     # a zero row with nonzero rhs means the system is inconsistent
-    for i in range(r, len(rows)):
-        if rows[i][n].value != 0:
-            return LinearSolution(
-                status="infeasible",
-                pivot_cols=tuple(pivot_cols),
-                free_cols=tuple(c for c in range(n) if c not in pivot_of_col),
-                solution=None,
-                determined=tuple(False for _ in range(n)),
-            )
+    if np.any(m[r:, n]):
+        return LinearSolution(
+            status="infeasible",
+            pivot_cols=tuple(pivot_cols),
+            free_cols=free_cols,
+            solution=None,
+            determined=(False,) * n,
+        )
 
-    free_cols = tuple(c for c in range(n) if c not in pivot_of_col)
-    zero = fld.zero()
-    sol = [zero] * n
+    sol = [0] * n
     determined = [False] * n
-    for c in pivot_cols:
-        row = rows[pivot_of_col[c]]
-        sol[c] = row[n]
-        # unique iff the pivot row involves no free variable
-        determined[c] = all(row[fc].value == 0 for fc in free_cols)
-    status = "unique" if not free_cols else "underdetermined"
+    # a pivot is unique iff its row involves no free variable
+    pinned = (~m[:r][:, list(free_cols)].any(axis=1)).tolist()
+    for c, value, unique in zip(pivot_cols, m[:r, n].tolist(), pinned):
+        sol[c] = value
+        determined[c] = unique
     return LinearSolution(
-        status=status,
+        status="unique" if not free_cols else "underdetermined",
         pivot_cols=tuple(pivot_cols),
         free_cols=free_cols,
-        solution=tuple(sol),
+        solution=tuple(FieldElement(v, fld) for v in sol),
         determined=tuple(determined),
-        reduced_rows=tuple(tuple(row[:n]) for row in rows[:r]),
-        reduced_rhs=tuple(rows[i][n] for i in range(r)),
+        reduced_rows=FieldMatrix._wrap(m[:r, :n].copy(), fld) if r else None,
     )

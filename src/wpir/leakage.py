@@ -104,13 +104,16 @@ class ConditionalQueryTable:
 
 
 def build_query_table(
-    inst: SchemeInstance, j: int, guard: int = DEFAULT_TABLE_GUARD
+    inst: SchemeInstance, j: int, guard: int | None = None
 ) -> ConditionalQueryTable:
     """Tabulate P(q|m) at server j by enumerating (m, s, t) triples.
 
     Each strategy s and uniform shift t contribute weight z_s / N to the
-    realized time-shared query.
+    realized time-shared query.  guard defaults to DEFAULT_TABLE_GUARD,
+    read at call time.
     """
+    if guard is None:
+        guard = DEFAULT_TABLE_GUARD
     size = inst.alphabet.size
     work = size * inst.n_servers * inst.m_files
     if work > guard:
@@ -144,7 +147,7 @@ def build_query_table(
 
 
 def build_all_tables(
-    inst: SchemeInstance, guard: int = DEFAULT_TABLE_GUARD
+    inst: SchemeInstance, guard: int | None = None
 ) -> tuple[ConditionalQueryTable, ...]:
     return tuple(
         build_query_table(inst, j, guard) for j in range(1, inst.n_servers + 1)

@@ -56,8 +56,7 @@ def make_rs_code(n_total: int, dim: int, fld: PrimeField) -> MdsCode:
         [[pow(x, i, fld.q) for x in range(n_total)] for i in range(dim)], fld
     )
     # row-reduce [V | 0]; the reduced rows are V in systematic form [I | P]
-    res = solve_linear(vand, [fld.zero()] * dim)
-    gen = FieldMatrix(res.reduced_rows)
+    gen = solve_linear(vand, [0] * dim).reduced_rows
     if gen.submatrix(range(dim), range(dim)) != FieldMatrix.identity(dim, fld):
         raise ValueError("row reduction did not produce a systematic generator")
     return MdsCode(n_total, dim, gen)
@@ -81,8 +80,7 @@ def decode_from(code: MdsCode, positions, symbols) -> tuple:
         raise ValueError(f"need exactly K={code.dim} coordinates")
     sub = code.generator.submatrix(range(code.dim), positions)
     # w @ G[:, pos] = y  <=>  G[:, pos]^T w^T = y^T
-    rows = [[sub[i, j] for i in range(code.dim)] for j in range(code.dim)]
-    res = solve_linear(FieldMatrix(rows), list(symbols))
+    res = solve_linear(FieldMatrix.from_ints(sub.residues.T, code.field), list(symbols))
     if res.status != "unique":
         raise ValueError("coordinates do not determine the message (not MDS?)")
     return res.solution

@@ -17,6 +17,8 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import FieldMatrix, solve_linear
 from .leakage import ResourceLimitError
 from .schemes import (
@@ -35,6 +37,8 @@ _KIND_CODES = {SchemeKind.ZYQT: 1, SchemeKind.ZTSL: 2, SchemeKind.OLR: 3}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 # largest number of (m, s, t) transcripts run by exhaustive verification
 DEFAULT_VERIFY_GUARD = 100_000
+# answer symbols travel as 2-byte residues, so q may not exceed 2^16
+MAX_FIELD_SIZE = 1 << 16
 
 
 class ProtocolError(ValueError):
@@ -61,7 +65,13 @@ def split_frame(data: bytes) -> tuple[bytes, bytes]:
     return data[4 : 4 + length], data[4 + length :]
 
 
+def _check_byte(what: str, value: int) -> None:
+    if not 0 <= value <= 255:
+        raise ProtocolError(f"{what} {value} does not fit one byte")
+
+
 def encode_query_frame(kind: SchemeKind, j: int, q: QueryMatrix) -> bytes:
+    _check_byte("server index", j)
     entries = [e for row in q.rows for e in row]
     if any(not 0 <= e <= 255 for e in entries):
         raise ProtocolError("query entries must fit one byte")
@@ -89,10 +99,12 @@ def decode_query_frame(data: bytes, k: int, m_files: int):
 
 
 def encode_answer_frame(j: int, values) -> bytes:
-    payload = bytes([j, len(values)]) + b"".join(
-        struct.pack(">H", int(v)) for v in values
-    )
-    return _frame(payload)
+    _check_byte("server index", j)
+    _check_byte("answer count", len(values))
+    symbols = [int(v) for v in values]
+    if any(not 0 <= v <= 0xFFFF for v in symbols):
+        raise ProtocolError("answer symbols must fit two bytes")
+    return _frame(struct.pack(f">BB{len(symbols)}H", j, len(symbols), *symbols))
 
 
 def decode_answer_frame(data: bytes):
@@ -146,41 +158,48 @@ def decode(queries, answers, code, params, m: int, m_files: int) -> FieldMatrix:
     symbols must come out uniquely determined.
     """
     lam, dim = params.lam, code.dim
-    fld = code.field
+    gen = code.generator.residues
     n_vars = m_files * lam * dim
 
     def var(mm: int, i: int, c: int) -> int:
         return ((mm - 1) * lam + i) * dim + c
 
-    rows, rhs = [], []
+    received = []
     for j, (q, values) in enumerate(zip(queries, answers), start=1):
         kept = transmitted_rows(q, params)
         if len(kept) != len(values):
             raise ProtocolError(
                 f"server {j} sent {len(values)} symbols, query needs {len(kept)}"
             )
-        for sub, value in zip(kept, values):
-            coeffs = [fld.zero()] * n_vars
-            for mm in range(1, m_files + 1):
-                row_idx = q.entry(sub, mm)
-                if row_idx < lam:
-                    for c in range(dim):
-                        coeffs[var(mm, row_idx, c)] += code.generator[c, j - 1]
-            rows.append(coeffs)
-            rhs.append(fld(value))
-    if not rows:
+        received.append((j, q, kept, values))
+    rhs = [v for *_, values in received for v in values]
+    if not rhs:
         raise DecodeFailure("no sub-responses were transmitted")
-    res = solve_linear(FieldMatrix(rows), rhs)
+    # one row per sub-response; file mm's queried data row picks up
+    # server j's generator column over that row's K symbols
+    system = np.zeros((len(rhs), n_vars), dtype=gen.dtype)
+    eq = 0
+    for j, q, kept, _ in received:
+        col = gen[:, j - 1]
+        for sub in kept:
+            for mm, row_idx in enumerate(q.rows[sub], start=1):
+                if row_idx < lam:
+                    start = var(mm, row_idx, 0)
+                    system[eq, start : start + dim] += col
+            eq += 1
+    res = solve_linear(FieldMatrix.from_ints(system, code.field), rhs)
     if not res.is_feasible:
         raise DecodeFailure("answers are inconsistent with the queries")
-    for i in range(lam):
-        for c in range(dim):
-            if not res.determined[var(m, i, c)]:
-                raise DecodeFailure(
-                    f"symbol ({i},{c}) of file {m} is not uniquely determined"
-                )
-    return FieldMatrix(
-        [[res.solution[var(m, i, c)] for c in range(dim)] for i in range(lam)]
+    first, last = var(m, 0, 0), var(m, lam - 1, dim - 1) + 1
+    undetermined = np.flatnonzero(~np.array(res.determined[first:last]))
+    if undetermined.size:
+        i, c = divmod(int(undetermined[0]), dim)
+        raise DecodeFailure(
+            f"symbol ({i},{c}) of file {m} is not uniquely determined"
+        )
+    return FieldMatrix.from_ints(
+        np.array([int(v) for v in res.solution[first:last]]).reshape(lam, dim),
+        code.field,
     )
 
 

@@ -180,3 +180,39 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "cardinality=3" in proc.stdout
+
+
+@pytest.mark.parametrize("q", ["65537", "4294967311"])
+def test_field_above_two_bytes_rejected(q, capsys):
+    code, out = run_cli(
+        ["verify", "--scheme", "ztsl", "--files", "2", "--servers", "3", "--dim", "2",
+         "--field", q, "--samples", "5"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "answer symbols are 2 bytes" in capsys.readouterr().err
+
+
+def test_largest_two_byte_field_verifies():
+    code, out = run_cli(
+        ["verify", "--scheme", "ztsl", "--files", "2", "--servers", "3", "--dim", "2",
+         "--field", "65521", "--samples", "20"]
+    )
+    assert code == 0
+    assert "failures=0" in out and "PASSED" in out
+
+
+def test_sampled_verify_skips_tables_over_budget(monkeypatch):
+    """A sampled run that passes must not fail on the table budget."""
+    argv = ["verify", "--scheme", "zyqt", "--files", "2", "--servers", "3",
+            "--dim", "2", "--samples", "10"]
+    code, out = run_cli(argv)
+    assert code == 0 and "per-server tables identical: yes" in out
+    monkeypatch.setattr("wpir.leakage.DEFAULT_TABLE_GUARD", 10)
+    code, out = run_cli(argv)
+    assert code == 0
+    assert "per-server tables identical: skipped (table enumeration needs" in out
+    assert "budget 10)" in out
+    assert out.endswith("verification PASSED\n")
+    # an exhaustive run still refuses the instance
+    assert run_cli(argv[:-2])[0] == 2

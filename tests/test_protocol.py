@@ -250,3 +250,42 @@ def test_tcp_transport_parity():
     finally:
         for srv in servers:
             srv.close()
+
+
+@given(
+    j=st.integers(0, 255),
+    values=st.lists(st.integers(0, 65535), max_size=255),
+)
+def test_answer_frame_round_trip_full_range(j, values):
+    frame = encode_answer_frame(j, values)
+    assert len(frame) == 4 + 2 + 2 * len(values)
+    j2, values2, rest = decode_answer_frame(frame)
+    assert (j2, list(values2), rest) == (j, values, b"")
+
+
+@pytest.mark.parametrize(
+    "j, values",
+    [
+        (1, [65536]),
+        (1, [-1]),
+        (1, [3, 70000, 4]),
+        (1, [0] * 256),
+        (256, [1]),
+        (-1, [1]),
+    ],
+)
+def test_answer_frame_rejects_out_of_range(j, values):
+    with pytest.raises(ProtocolError):
+        encode_answer_frame(j, values)
+
+
+@pytest.mark.parametrize("j", [256, 1000, -1])
+def test_query_frame_rejects_out_of_range_server(j):
+    with pytest.raises(ProtocolError):
+        encode_query_frame(SchemeKind.ZTSL, j, qm((0, 0), (1, 1)))
+
+
+def test_answer_frame_bytes_unchanged():
+    """In-range frames keep the 4-byte length, [j][count], 2-byte symbols."""
+    assert encode_answer_frame(3, [1, 65535]) == bytes.fromhex("00000006" "0302" "0001" "ffff")
+    assert encode_answer_frame(0, []) == bytes.fromhex("00000002" "0000")
