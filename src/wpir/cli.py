@@ -19,12 +19,18 @@ from .leakage import (
     build_query_table,
     download_cost_form,
     serialize_query,
+    shared_table,
     table_to_csv,
     uniform_pmf,
 )
 from .mds import MdsCode, make_rs_code
 from .optimizer import default_grid, solve_tradeoff_point
-from .protocol import MAX_FIELD_SIZE, simulate_downloads, verify_retrievability
+from .protocol import (
+    MAX_FIELD_SIZE,
+    MAX_SERVERS,
+    simulate_downloads,
+    verify_retrievability,
+)
 from .schemes import SchemeKind, make_scheme
 from .storage import FileSet, encode_storage
 
@@ -115,6 +121,12 @@ def resolve_config(args: argparse.Namespace) -> InstanceConfig:
         raise ConfigError(f"need at least one file, got {m_files}")
     if not n_servers > dim >= 1:
         raise ConfigError(f"need N > K >= 1, got N={n_servers}, K={dim}")
+    if n_servers > MAX_SERVERS:
+        # the effective n never exceeds N, so query entries then fit one byte too
+        raise ConfigError(
+            f"server count {n_servers} exceeds {MAX_SERVERS}: "
+            "server indices travel as one byte"
+        )
     field_q = pick(args.field, "field", int, smallest_prime_at_least(n_servers))
     if field_q > MAX_FIELD_SIZE:
         raise ConfigError(
@@ -204,7 +216,8 @@ plt.savefig({png!r}, dpi=160)
 
 def cmd_tradeoff(cfg: InstanceConfig, args, stdout) -> int:
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
-    tables = build_all_tables(inst)
+    # time sharing gives every server the same table (wpir verify checks it)
+    tables = (build_query_table(inst, 1),)
     cost = download_cost_form(tables)
     targets = default_grid(cost, inst.alphabet.size, cfg.grid)
     lines = [
@@ -281,10 +294,11 @@ def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
         # a sampled run is decided by its retrievals alone
         stdout.write(f"per-server tables identical: skipped ({exc})\n")
     else:
-        equal = all(
-            tb.forms == tables[0].forms and tb.lengths == tables[0].lengths
-            for tb in tables
-        )
+        try:
+            shared_table(tables)
+            equal = True
+        except ValueError:
+            equal = False
         stdout.write(f"per-server tables identical: {'yes' if equal else 'NO'}\n")
         ok = ok and equal
     stdout.write("verification PASSED\n" if ok else "verification FAILED\n")
@@ -296,7 +310,7 @@ def cmd_simulate(cfg: InstanceConfig, args, stdout) -> int:
     z = uniform_pmf(inst.alphabet.size)
     stats = simulate_downloads(inst, z, count=args.samples or 10000, seed=cfg.seed)
     table = build_query_table(inst, 1)
-    cost = download_cost_form(build_all_tables(inst))
+    cost = download_cost_form((table,))
     analytic = float(cost.evaluate(z))
     lines = [
         f"# samples={stats.count} empirical_mean_download={stats.mean_downloaded:.6f} "

@@ -302,14 +302,6 @@ class FieldMatrix:
         return f"FieldMatrix[{body}]"
 
 
-def mat_vec(a: FieldMatrix, v) -> tuple:
-    """a @ v for a plain sequence v of FieldElements."""
-    if a.cols != len(v):
-        raise ValueError("shape mismatch")
-    col = FieldMatrix.from_ints([[int(e)] for e in v], a.field)
-    return (a @ col).column(0)
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """Reduced-echelon description of the solution set of A x = b.

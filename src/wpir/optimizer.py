@@ -23,10 +23,13 @@ from .leakage import (
     ResourceLimitError,
     maxl,
     normalize_pmf,
+    shared_table,
 )
 
 # epigraph slack when capping stage-2 leakage at the stage-1 optimum
 LEAKAGE_CAP_SLACK = 1e-9
+# largest |primal - dual| objective gap accepted from the solver
+MAX_DUALITY_GAP = 1e-9
 # largest barycentric grid enumerated by the brute-force oracle
 DEFAULT_GRID_GUARD = 5_000_000
 _CHUNK = 250_000
@@ -56,7 +59,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     objective: float | None
     z: tuple[Fraction, ...] | None
-    t: np.ndarray | None
     duality_gap: float | None
 
     @property
@@ -64,19 +66,12 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _check_time_shared(tables) -> ConditionalQueryTable:
-    tables = tuple(tables)
-    first = tables[0]
-    for tb in tables[1:]:
-        if (
-            tb.queries != first.queries
-            or tb.forms != first.forms
-            or tb.lengths != first.lengths
-        ):
-            raise ValueError(
-                "per-server tables differ; the LP assumes a time-shared scheme"
-            )
-    return first
+def _cost_vector(cost_form: LinearForm, size: int) -> np.ndarray:
+    """The cost form's coefficients as a dense float vector."""
+    c = np.zeros(size)
+    for i, v in cost_form.coeffs.items():
+        c[i] = float(v)
+    return c
 
 
 def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
@@ -84,36 +79,29 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
 
     Stacks t_q >= P(q|m)(z) for every query and file, the cost cap, and
     the PMF normalization; log2 of the optimal objective is the leakage.
+    Row qi*M + m-1 is the table's count row over N followed by -1 on t_q.
     """
-    table = _check_time_shared(tables)
+    table = shared_table(tables)
+    counts = table.counts
     n_z = table.alphabet_size
     n_t = len(table.queries)
-    rows, cols, vals = [], [], []
-    b_ub = []
-    r = 0
-    for ti, q in enumerate(table.queries):
-        for m in range(1, table.m_files + 1):
-            form = table.prob_form(q, m)
-            for i, cf in form.coeffs.items():
-                rows.append(r)
-                cols.append(i)
-                vals.append(float(cf))
-            rows.append(r)
-            cols.append(n_z + ti)
-            vals.append(-1.0)
-            b_ub.append(-float(form.constant))
-            r += 1
-    for i in range(n_z):
-        cf = cost_form.coefficient(i)
-        if cf != 0:
-            rows.append(r)
-            cols.append(i)
-            vals.append(float(cf))
-    b_ub.append(float(Fraction(d_target) - cost_form.constant))
-    r += 1
-    a_ub = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(r, n_z + n_t), dtype=float
+    n_rows = counts.shape[0]
+    ends = counts.indptr[1:]
+    epigraph_cols = n_z + np.arange(n_rows) // table.m_files
+    cost = _cost_vector(cost_form, n_z)
+    cost_cols = np.flatnonzero(cost)
+    data = np.concatenate(
+        [np.insert(counts.data / table.n_servers, ends, -1.0), cost[cost_cols]]
     )
+    indices = np.concatenate(
+        [np.insert(counts.indices, ends, epigraph_cols), cost_cols]
+    )
+    indptr = np.concatenate([counts.indptr + np.arange(n_rows + 1), [data.size]])
+    a_ub = sparse.csr_matrix(
+        (data, indices, indptr), shape=(n_rows + 1, n_z + n_t)
+    )
+    b_ub = np.full(n_rows + 1, -0.0)
+    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
     a_eq = sparse.csr_matrix(
         (np.ones(n_z), (np.zeros(n_z, dtype=int), np.arange(n_z))),
         shape=(1, n_z + n_t),
@@ -124,7 +112,7 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
         n_z=n_z,
         c=c,
         a_ub=a_ub,
-        b_ub=np.array(b_ub),
+        b_ub=b_ub,
         a_eq=a_eq,
         b_eq=np.array([1.0]),
     )
@@ -138,9 +126,7 @@ def _with_leakage_cap(p: LpProblem, cost_form: LinearForm, cap: float) -> LpProb
         shape=(1, p.c.size),
         dtype=float,
     )
-    c = np.zeros(p.c.size)
-    for i in range(p.n_z):
-        c[i] = float(cost_form.coefficient(i))
+    c = np.concatenate([_cost_vector(cost_form, p.n_z), np.zeros(n_t)])
     return LpProblem(
         n_z=p.n_z,
         c=c,
@@ -163,7 +149,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
     )
     if res.status == 2:
         return LpSolution(
-            status="infeasible", objective=None, z=None, t=None, duality_gap=None
+            status="infeasible", objective=None, z=None, duality_gap=None
         )
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
@@ -174,15 +160,17 @@ def solve_lp(p: LpProblem) -> LpSolution:
         + np.sum(res.lower.marginals * 0.0)
         + np.sum(res.upper.marginals * 1.0)
     )
+    gap = abs(float(res.fun) - float(dual))
+    if gap > MAX_DUALITY_GAP:
+        raise RuntimeError(
+            f"LP solver certificate fails: duality gap {gap:.3e} exceeds "
+            f"{MAX_DUALITY_GAP:g}"
+        )
     z = normalize_pmf(
         [Fraction(float(v)) if v > 0 else Fraction(0) for v in res.x[: p.n_z]]
     )
     return LpSolution(
-        status="optimal",
-        objective=float(res.fun),
-        z=z,
-        t=res.x[p.n_z:],
-        duality_gap=abs(float(res.fun) - float(dual)),
+        status="optimal", objective=float(res.fun), z=z, duality_gap=gap
     )
 
 
@@ -221,7 +209,7 @@ def solve_tradeoff_point(
 ):
     """Optimal leakage at one cost target, then (optionally) the cheapest
     cost achieving it.  Returns None when the target is infeasible."""
-    table = _check_time_shared(tables)
+    table = shared_table(tables)
     p = reformulate(tables, cost_form, d_target)
     sol = solve_lp(p)
     if not sol.is_optimal:
@@ -257,7 +245,7 @@ def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):
 
 def sweep_tradeoff(tables, cost_form, lam: int, dim: int, d_grid=None, grid_size: int = 60):
     """One TradeoffPoint per feasible target, deduplicated, sorted by rate."""
-    table = _check_time_shared(tables)
+    table = shared_table(tables)
     if d_grid is None:
         d_grid = default_grid(cost_form, table.alphabet_size, grid_size)
     points = []
@@ -323,18 +311,13 @@ def brute_force_min_leakage(
         raise ResourceLimitError(
             f"grid has {count} points for |S|={size} at step {step}, budget {guard}"
         )
-    cost_vec = np.array(
-        [float(cost_form.coefficient(i)) for i in range(size)]
-    )
+    cost_vec = _cost_vector(cost_form, size)
     cost_cap = float(Fraction(d_target) - cost_form.constant) + 1e-9
     # per-m coefficient matrices, queries x strategies
-    per_m = []
-    for m in range(1, table.m_files + 1):
-        mat = np.zeros((len(table.queries), size))
-        for qi, q in enumerate(table.queries):
-            for i, cf in table.prob_form(q, m).coeffs.items():
-                mat[qi, i] = float(cf)
-        per_m.append(mat)
+    probs = table.counts.toarray() / table.n_servers
+    per_m = [
+        np.ascontiguousarray(probs[m :: table.m_files]) for m in range(table.m_files)
+    ]
     best_sum = None
     best_row = None
     for arr in _composition_chunks(total, size):

@@ -11,6 +11,7 @@ the desired file's symbols be uniquely determined.
 from __future__ import annotations
 
 import json
+import logging
 import random
 import socket
 import struct
@@ -39,6 +40,10 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 DEFAULT_VERIFY_GUARD = 100_000
 # answer symbols travel as 2-byte residues, so q may not exceed 2^16
 MAX_FIELD_SIZE = 1 << 16
+# server indices travel as one byte
+MAX_SERVERS = 255
+
+_log = logging.getLogger(__name__)
 
 
 class ProtocolError(ValueError):
@@ -456,8 +461,8 @@ class TcpServer:
             with conn:
                 try:
                     conn.sendall(self.node.handle(_recv_frame(conn)))
-                except ProtocolError:
-                    pass
+                except ProtocolError as exc:
+                    _log.warning("server %d rejected a frame: %s", self.node.j, exc)
 
     def close(self):
         self.sock.close()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wpir.cli import main
+from wpir.cli import build_parser, main, resolve_config
 from wpir.leakage import build_query_table, table_to_csv
 from wpir.schemes import SchemeKind, make_scheme
 
@@ -216,3 +216,25 @@ def test_sampled_verify_skips_tables_over_budget(monkeypatch):
     assert out.endswith("verification PASSED\n")
     # an exhaustive run still refuses the instance
     assert run_cli(argv[:-2])[0] == 2
+
+
+def test_largest_one_byte_server_count_accepted():
+    args = build_parser().parse_args(
+        ["verify", "--scheme", "ztsl", "--files", "2", "--servers", "255",
+         "--dim", "2", "--samples", "2"]
+    )
+    cfg = resolve_config(args)
+    assert cfg.n_servers == 255 and cfg.field_q == 257
+
+
+@pytest.mark.parametrize("n", ["256", "257"])
+def test_server_count_above_one_byte_rejected(n, capsys):
+    code, out = run_cli(
+        ["verify", "--scheme", "ztsl", "--files", "2", "--servers", n, "--dim", "2",
+         "--samples", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "server indices travel as one byte" in err
+    assert "Traceback" not in err

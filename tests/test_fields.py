@@ -10,13 +10,21 @@ from wpir.fields import (
     FieldMatrix,
     PrimeField,
     is_prime,
-    mat_vec,
     smallest_prime_at_least,
     solve_linear,
 )
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
+
+
+def mat_vec(a: FieldMatrix, v) -> tuple:
+    """a @ v for a plain sequence v of FieldElements."""
+    if a.cols != len(v):
+        raise ValueError("shape mismatch")
+    col = FieldMatrix.from_ints([[int(e)] for e in v], a.field)
+    return (a @ col).column(0)
+
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 

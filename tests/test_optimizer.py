@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from wpir.leakage import (
     ResourceLimitError,
@@ -190,3 +191,19 @@ def test_brute_force_guards():
         brute_force_min_leakage(tables[0], cost, 4, step=F(3, 100))
     with pytest.raises(ValueError):
         brute_force_min_leakage(tables[0], cost, 1, step=F(1, 10))
+
+
+def test_solve_lp_rejects_duality_gap(monkeypatch):
+    """A solver answer whose primal and dual objectives disagree is refused."""
+    inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
+    p = reformulate(tables, cost, 4)
+    real = linprog
+
+    def skewed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.fun += 1e-6
+        return res
+
+    monkeypatch.setattr("wpir.optimizer.linprog", skewed)
+    with pytest.raises(RuntimeError, match="duality gap"):
+        solve_lp(p)

@@ -1,5 +1,7 @@
 """Tests for wire frames, servers, the generic decoder, and verification."""
 import json
+import logging
+import socket
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,3 +291,20 @@ def test_answer_frame_bytes_unchanged():
     """In-range frames keep the 4-byte length, [j][count], 2-byte symbols."""
     assert encode_answer_frame(3, [1, 65535]) == bytes.fromhex("00000006" "0302" "0001" "ffff")
     assert encode_answer_frame(0, []) == bytes.fromhex("00000002" "0000")
+
+
+def test_tcp_server_logs_rejected_frame(caplog):
+    inst, storage = build(SchemeKind.ZTSL, seed=73)
+    srv = TcpServer(ServerNode(inst, storage, 1))
+    try:
+        with caplog.at_level(logging.WARNING, logger="wpir.protocol"):
+            with socket.create_connection(srv.address, timeout=10) as conn:
+                conn.sendall(b"\x00\x00\x00\x10abc")  # header promises 16 bytes
+                conn.shutdown(socket.SHUT_WR)
+                # the server logs before it closes the connection unanswered
+                assert conn.recv(1) == b""
+    finally:
+        srv.close()
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "wpir.protocol" and r.levelno == logging.WARNING]
+    assert messages == ["server 1 rejected a frame: connection closed mid-frame"]
