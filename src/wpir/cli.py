@@ -17,6 +17,7 @@ from .leakage import (
     ResourceLimitError,
     build_all_tables,
     build_query_table,
+    check_table_budget,
     download_cost_form,
     serialize_query,
     shared_table,
@@ -261,6 +262,14 @@ def _build_code(cfg: InstanceConfig, corrupt: bool) -> MdsCode:
 
 def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
+    sampled = bool(args.samples) and not args.exhaustive
+    try:
+        check_table_budget(inst, inst.n_servers)
+        skipped = None
+    except ResourceLimitError as exc:
+        if not sampled:
+            raise
+        skipped = exc  # a sampled run is decided by its retrievals alone
     try:
         code = _build_code(cfg, args.corrupt_generator)
     except ValueError as exc:
@@ -270,7 +279,6 @@ def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
         cfg.m_files, inst.params.lam, cfg.dim, code.field, seed=cfg.seed
     )
     storage = encode_storage(files, code)
-    sampled = bool(args.samples) and not args.exhaustive
     report = verify_retrievability(
         inst,
         storage,
@@ -286,16 +294,11 @@ def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
     )
     for m, si, t, reason in report.failures[:20]:
         stdout.write(f"FAIL retrieval m={m} s_index={si} t={t}: {reason}\n")
-    try:
-        tables = build_all_tables(inst)
-    except ResourceLimitError as exc:
-        if not sampled:
-            raise
-        # a sampled run is decided by its retrievals alone
-        stdout.write(f"per-server tables identical: skipped ({exc})\n")
+    if skipped is not None:
+        stdout.write(f"per-server tables identical: skipped ({skipped})\n")
     else:
         try:
-            shared_table(tables)
+            shared_table(build_all_tables(inst))
             equal = True
         except ValueError:
             equal = False

@@ -143,24 +143,28 @@ class ConditionalQueryTable:
         return self.lengths[q]
 
 
+def check_table_budget(inst: SchemeInstance, n_tables: int, guard: int | None = None) -> None:
+    """Refuse n_tables enumerations of |S|*N*M steps beyond guard
+    (default DEFAULT_TABLE_GUARD, read at call time)."""
+    guard = DEFAULT_TABLE_GUARD if guard is None else guard
+    size, n, m = inst.alphabet.size, inst.n_servers, inst.m_files
+    work = n_tables * size * n * m
+    if work > guard:
+        tables = "" if n_tables == 1 else f"{n_tables}*"
+        raise ResourceLimitError(f"table enumeration needs {work} = {tables}|S|*N*M "
+                                 f"steps ({size}*{n}*{m}), budget {guard}")
+
+
 def build_query_table(
     inst: SchemeInstance, j: int, guard: int | None = None
 ) -> ConditionalQueryTable:
     """Tabulate P(q|m) at server j by enumerating (m, s, t) triples.
 
     Each strategy s and uniform shift t add one to the count of the
-    realized time-shared query.  guard defaults to DEFAULT_TABLE_GUARD,
-    read at call time.
+    realized time-shared query.  See check_table_budget for guard.
     """
-    if guard is None:
-        guard = DEFAULT_TABLE_GUARD
+    check_table_budget(inst, 1, guard)
     size = inst.alphabet.size
-    work = size * inst.n_servers * inst.m_files
-    if work > guard:
-        raise ResourceLimitError(
-            f"table enumeration needs {work} = |S|*N*M steps "
-            f"({size}*{inst.n_servers}*{inst.m_files}), budget {guard}"
-        )
     first_seen: dict[QueryMatrix, int] = {}
     hit_query, hit_file, hit_strategy = [], [], []
     for m in range(inst.m_files):
@@ -194,7 +198,8 @@ def build_query_table(
 def build_all_tables(
     inst: SchemeInstance, guard: int | None = None
 ) -> tuple[ConditionalQueryTable, ...]:
-    """Every server's table, each enumerated on its own."""
+    """Every server's table, each enumerated on its own, under one budget."""
+    check_table_budget(inst, inst.n_servers, guard)
     return tuple(
         build_query_table(inst, j, guard) for j in range(1, inst.n_servers + 1)
     )

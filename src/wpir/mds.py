@@ -38,7 +38,7 @@ class MdsCode:
 def check_mds(code: MdsCode) -> bool:
     """True iff every K x K submatrix of the generator is invertible."""
     k = code.dim
-    zero = [code.field.zero()] * k
+    zero = [0] * k
     for cols in combinations(range(code.n_total), k):
         sub = code.generator.submatrix(range(k), cols)
         if solve_linear(sub, zero).status != "unique":
@@ -63,15 +63,10 @@ def make_rs_code(n_total: int, dim: int, fld: PrimeField) -> MdsCode:
 
 
 def encode_row(code: MdsCode, w) -> tuple:
-    """Codeword w @ G for a length-K message row w."""
+    """Codeword w @ G for a length-K message row w of FieldElements."""
     if len(w) != code.dim:
         raise ValueError(f"message length {len(w)} != K={code.dim}")
-    zero = code.field.zero()
-    g = code.generator
-    return tuple(
-        sum((w[i] * g[i, j] for i in range(code.dim)), zero)
-        for j in range(code.n_total)
-    )
+    return (FieldMatrix([w]) @ code.generator).row(0)
 
 
 def decode_from(code: MdsCode, positions, symbols) -> tuple:

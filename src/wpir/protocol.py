@@ -4,9 +4,10 @@ Every message on the wire is a 4-byte big-endian payload length followed
 by the payload.  A query frame carries [version][scheme kind][server j]
 and the k x M query entries row-major, one byte each; an answer frame
 carries [server j][count] and the transmitted sub-responses as 2-byte
-big-endian field elements.  The client decodes by solving the full
-linear system over every message symbol of every file, and demands that
-the desired file's symbols be uniquely determined.
+big-endian field elements.  Servers sum over `schemes.answer_positions`;
+the client solves the system those positions define over every message
+symbol of every file, and demands that the desired file's symbols be
+uniquely determined.  TCP sockets time out after SOCKET_TIMEOUT_S.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .schemes import (
     SchemeKind,
     answer,
     answer_length,
+    answer_positions,
     time_shared_query,
-    transmitted_rows,
 )
 from .storage import EncodedStorage, server_column
 
@@ -42,6 +43,8 @@ DEFAULT_VERIFY_GUARD = 100_000
 MAX_FIELD_SIZE = 1 << 16
 # server indices travel as one byte
 MAX_SERVERS = 255
+# seconds a TCP peer may stay silent before its connection is dropped
+SOCKET_TIMEOUT_S = 10.0
 
 _log = logging.getLogger(__name__)
 
@@ -130,14 +133,13 @@ def decode_answer_frame(data: bytes):
 
 
 class ServerNode:
-    """One stateless server: answers query frames from its stored column."""
+    """One stateless server: answers query frames from its residue column."""
 
     def __init__(self, inst: SchemeInstance, storage: EncodedStorage, j: int):
         self.inst = inst
         self.j = j
         self.column = server_column(storage, j)
         self.params = storage.params
-        self.field = storage.code.field
 
     def handle(self, frame: bytes) -> bytes:
         kind, j, q, rest = decode_query_frame(
@@ -151,8 +153,7 @@ class ServerNode:
             raise ProtocolError(f"frame for server {j} reached server {self.j}")
         if any(e >= self.params.n for row in q.rows for e in row):
             raise ProtocolError(f"query entries must lie in [0:{self.params.n - 1}]")
-        values = answer(q, self.column, self.params)
-        return encode_answer_frame(self.j, [v.value for v in values])
+        return encode_answer_frame(self.j, answer(q, self.column, self.params))
 
 
 def decode(queries, answers, code, params, m: int, m_files: int) -> FieldMatrix:
@@ -164,38 +165,31 @@ def decode(queries, answers, code, params, m: int, m_files: int) -> FieldMatrix:
     """
     lam, dim = params.lam, code.dim
     gen = code.generator.residues
-    n_vars = m_files * lam * dim
-
-    def var(mm: int, i: int, c: int) -> int:
-        return ((mm - 1) * lam + i) * dim + c
-
-    received = []
+    positions, servers, rhs = [], [], []
     for j, (q, values) in enumerate(zip(queries, answers), start=1):
-        kept = transmitted_rows(q, params)
-        if len(kept) != len(values):
+        pos = answer_positions(q, params)
+        if len(pos) != len(values):
             raise ProtocolError(
-                f"server {j} sent {len(values)} symbols, query needs {len(kept)}"
+                f"server {j} sent {len(values)} symbols, query needs {len(pos)}"
             )
-        received.append((j, q, kept, values))
-    rhs = [v for *_, values in received for v in values]
+        positions.append(pos)
+        servers += [j - 1] * len(pos)
+        rhs.extend(values)
     if not rhs:
         raise DecodeFailure("no sub-responses were transmitted")
-    # one row per sub-response; file mm's queried data row picks up
-    # server j's generator column over that row's K symbols
-    system = np.zeros((len(rhs), n_vars), dtype=gen.dtype)
-    eq = 0
-    for j, q, kept, _ in received:
-        col = gen[:, j - 1]
-        for sub in kept:
-            for mm, row_idx in enumerate(q.rows[sub], start=1):
-                if row_idx < lam:
-                    start = var(mm, row_idx, 0)
-                    system[eq, start : start + dim] += col
-            eq += 1
+    # one row per sub-response; each queried data row (row < lam) of file
+    # mm gets server j's generator column over that row's K unknowns (a
+    # sub-response reads one row per file, so no two writes overlap)
+    mm, row = np.divmod(np.concatenate(positions), params.n)
+    eq, read = np.nonzero(row < lam)
+    first_var = (mm[eq, read] * lam + row[eq, read]) * dim
+    sender = np.array(servers)[eq]
+    system = np.zeros((len(rhs), m_files * lam * dim), dtype=gen.dtype)
+    system[eq[:, None], first_var[:, None] + np.arange(dim)] = gen[:, sender].T
     res = solve_linear(FieldMatrix.from_ints(system, code.field), rhs)
     if not res.is_feasible:
         raise DecodeFailure("answers are inconsistent with the queries")
-    first, last = var(m, 0, 0), var(m, lam - 1, dim - 1) + 1
+    first, last = (m - 1) * lam * dim, m * lam * dim
     undetermined = np.flatnonzero(~np.array(res.determined[first:last]))
     if undetermined.size:
         i, c = divmod(int(undetermined[0]), dim)
@@ -459,10 +453,13 @@ class TcpServer:
             except OSError:
                 return
             with conn:
+                conn.settimeout(SOCKET_TIMEOUT_S)
                 try:
                     conn.sendall(self.node.handle(_recv_frame(conn)))
                 except ProtocolError as exc:
                     _log.warning("server %d rejected a frame: %s", self.node.j, exc)
+                except OSError as exc:  # a reset, a timeout, a closed peer
+                    _log.warning("server %d dropped a connection: %s", self.node.j, exc)
 
     def close(self):
         self.sock.close()
@@ -472,7 +469,7 @@ def tcp_channel(address):
     """A frame->frame callable that talks to a TcpServer at address."""
 
     def send(frame: bytes) -> bytes:
-        with socket.create_connection(address) as conn:
+        with socket.create_connection(address, timeout=SOCKET_TIMEOUT_S) as conn:
             conn.sendall(frame)
             return _recv_frame(conn)
 

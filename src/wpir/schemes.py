@@ -2,7 +2,9 @@
 
 A strategy drawn from the scheme's alphabet is expanded into one k x M
 query matrix per server; each server returns one sub-response per query
-row, suppressing rows that touch only dummy storage.  Time sharing
+row, suppressing rows that touch only dummy storage.  `answer_positions`
+is the one definition of which stored symbols a query reads: the server
+sums them and the decoder writes its equations from them.  Time sharing
 rotates the per-server encoders by a uniform cyclic shift, which makes
 leakage identical at every server.
 """
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
+
+import numpy as np
 
 from .storage import EffectiveParams, effective_params
 
@@ -114,10 +118,6 @@ class QueryMatrix:
     """A k x M matrix of row indices in [0:n-1], row-major."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def k_rows(self) -> int:
-        return len(self.rows)
 
     @property
     def m_cols(self) -> int:
@@ -238,23 +238,26 @@ def answer_length(q: QueryMatrix, params: EffectiveParams) -> int:
     return len(transmitted_rows(q, params))
 
 
-def answer(q: QueryMatrix, column, params: EffectiveParams) -> tuple:
-    """Transmitted sub-responses, in row order.
+def answer_positions(q: QueryMatrix, params: EffectiveParams) -> np.ndarray:
+    """Stacked-column positions read by each transmitted sub-response.
 
-    Sub-response i sums, over files, the stored symbol at the queried
-    row; rows whose every index lands in dummy storage are suppressed.
+    A rows x M int array: row r holds, for each file m, the position
+    (m-1)*n + entry of its queried row; entries >= lam are dummy zeros.
     """
-    n = params.n
-    m_files = q.m_cols
-    if len(column) != m_files * n:
-        raise ValueError(
-            f"column has {len(column)} entries, expected M*n = {m_files * n}"
-        )
-    zero_like = column[0] - column[0]
-    out = []
-    for i in transmitted_rows(q, params):
-        total = zero_like
-        for m in range(1, m_files + 1):
-            total = total + column[(m - 1) * n + q.entry(i, m)]
-        out.append(total)
-    return tuple(out)
+    rows = np.array(q.rows, dtype=np.int64)
+    kept = list(transmitted_rows(q, params))
+    return rows[kept] + params.n * np.arange(q.m_cols)
+
+
+def answer(q: QueryMatrix, column, params: EffectiveParams) -> tuple[int, ...]:
+    """Transmitted sub-responses as residues, in row order.
+
+    column is a server's 1 x (M*n) FieldMatrix.  Sub-response i sums,
+    over files, the stored symbol at the queried row; rows whose every
+    index lands in dummy storage are suppressed.
+    """
+    if (column.rows, column.cols) != (1, q.m_cols * params.n):
+        raise ValueError(f"column is {column.rows}x{column.cols}, expected 1x(M*n)")
+    # int64 residues are below 2^31.5, so sums over fewer than 2^31 files are exact
+    sums = column.residues[0, answer_positions(q, params)].sum(axis=1)
+    return tuple((sums % column.field.q).tolist())

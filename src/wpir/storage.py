@@ -3,7 +3,8 @@
 Effective parameters (n, k) are N, K reduced by gcd(N, K); each file is a
 lambda x K matrix with lambda = n - k.  Every server stores, per file, the
 lambda encoded data rows followed by k all-zero dummy rows, so query row
-indices range over [0:n-1].  Row indices are 0-based; server and file
+indices range over [0:n-1].  All servers' columns are one read-only
+N x (M*n) residue matrix.  Row indices are 0-based; server and file
 indices are 1-based.
 """
 from __future__ import annotations
@@ -12,8 +13,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .fields import FieldMatrix, PrimeField
-from .mds import MdsCode, encode_row
+import numpy as np
+
+from .fields import FieldElement, FieldMatrix, PrimeField
+from .mds import MdsCode
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,19 @@ class FileSet:
         return cls(FieldMatrix.from_ints(b, fld) for b in blocks)
 
 
+@dataclass(frozen=True, eq=False)
 class EncodedStorage:
-    """Per-server stacked columns of M blocks, each n rows.
+    """All servers' stacked columns as one N x (M*n) residue matrix.
 
-    Rows [0:lam-1] of block m at server j are the code symbols of file m;
-    rows [lam:n-1] are the dummy zero rows.
+    Row j-1 is server j's column: M blocks of n entries, where entries
+    [0:lam-1] of block m are the code symbols of file m's data rows and
+    entries [lam:n-1] are the dummy zero rows.
     """
 
-    __slots__ = ("code", "params", "file_set", "columns")
-
-    def __init__(self, code: MdsCode, params: EffectiveParams, file_set: FileSet, columns):
-        self.code = code
-        self.params = params
-        self.file_set = file_set
-        self.columns = columns
+    code: MdsCode
+    params: EffectiveParams
+    file_set: FileSet
+    columns: FieldMatrix
 
     @property
     def n_servers(self) -> int:
@@ -119,14 +121,15 @@ class EncodedStorage:
     def m_files(self) -> int:
         return self.file_set.m_files
 
-    def symbol(self, m: int, row: int, j: int) -> "FieldElement":
+    def symbol(self, m: int, row: int, j: int) -> FieldElement:
         """Stored symbol of file m at row index row in [0:n-1], server j."""
         n = self.params.n
         if not 1 <= m <= self.m_files:
             raise ValueError(f"file index {m} outside [1:{self.m_files}]")
         if not 0 <= row < n:
             raise ValueError(f"row {row} outside [0:{n - 1}]")
-        return self.columns[j - 1][(m - 1) * n + row]
+        blocks = self.columns.residues[j - 1].reshape(self.m_files, n)
+        return FieldElement(int(blocks[m - 1, row]), self.code.field)
 
 
 def encode_storage(file_set: FileSet, code: MdsCode) -> EncodedStorage:
@@ -139,23 +142,16 @@ def encode_storage(file_set: FileSet, code: MdsCode) -> EncodedStorage:
         )
     if file_set.field != code.field:
         raise ValueError("file field differs from code field")
-    zero = code.field.zero()
-    encoded = [
-        [encode_row(code, f.row(i)) for i in range(lam)] for f in file_set.files
-    ]
-    columns = tuple(
-        tuple(
-            encoded[m][i][j] if i < lam else zero
-            for m in range(file_set.m_files)
-            for i in range(lam + k)
-        )
-        for j in range(code.n_total)
-    )
+    dummy = FieldMatrix.zeros(k, code.dim, code.field).residues
+    stacked = np.concatenate([b for f in file_set.files for b in (f.residues, dummy)])
+    # (M*n x K) @ (K x N): column j-1 is server j's stacked column
+    encoded = FieldMatrix.from_ints(stacked, code.field) @ code.generator
+    columns = FieldMatrix.from_ints(encoded.residues.T, code.field)
     return EncodedStorage(code, params, file_set, columns)
 
 
-def server_column(storage: EncodedStorage, j: int) -> tuple:
-    """The j-th stacked column (M blocks of n rows each), read-only."""
+def server_column(storage: EncodedStorage, j: int) -> FieldMatrix:
+    """The j-th stacked column (M blocks of n rows each) as a 1 x (M*n) matrix."""
     if not 1 <= j <= storage.n_servers:
         raise ValueError(f"server index {j} outside [1:{storage.n_servers}]")
-    return storage.columns[j - 1]
+    return storage.columns.submatrix([j - 1], range(storage.columns.cols))

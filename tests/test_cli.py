@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line interface."""
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wpir
 from wpir.cli import build_parser, main, resolve_config
 from wpir.leakage import build_query_table, table_to_csv
 from wpir.schemes import SchemeKind, make_scheme
@@ -173,10 +176,13 @@ def test_plot_script_emission(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same wpir as this process, installed or not
+    src = str(Path(wpir.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "wpir.cli", "enumerate", "--scheme", "ztsl",
          "--files", "2", "--servers", "3", "--dim", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "cardinality=3" in proc.stdout
@@ -216,6 +222,24 @@ def test_sampled_verify_skips_tables_over_budget(monkeypatch):
     assert out.endswith("verification PASSED\n")
     # an exhaustive run still refuses the instance
     assert run_cli(argv[:-2])[0] == 2
+
+
+def test_verify_budgets_all_server_tables_before_retrievals(monkeypatch):
+    """zyqt (2,3,2): one table fits a budget of 300 steps, all three do not.
+    A sampled run skips the table check; an exhaustive one exits 2 before
+    any retrieval."""
+    monkeypatch.setattr("wpir.leakage.DEFAULT_TABLE_GUARD", 300)
+    argv = ["verify", "--scheme", "zyqt", "--files", "2", "--servers", "3",
+            "--dim", "2", "--samples", "10"]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert "per-server tables identical: skipped (table enumeration needs 648" in out
+    assert out.endswith("verification PASSED\n")
+    retrievals = []
+    monkeypatch.setattr("wpir.cli.verify_retrievability",
+                        lambda *a, **k: retrievals.append(a))
+    assert run_cli(argv[:-2]) == (2, "")
+    assert retrievals == []
 
 
 def test_largest_one_byte_server_count_accepted():

@@ -233,6 +233,19 @@ def test_resource_guard_counts():
         build_query_table(inst, 1, guard=5)
 
 
+def test_all_tables_budget_counts_every_server(monkeypatch):
+    """zyqt (2,3,2): one table is 36*3*2 = 216 steps, all three are 648."""
+    inst = make_scheme(SchemeKind.ZYQT, 2, 3, 2)
+    assert build_query_table(inst, 2, guard=300).alphabet_size == 36
+    calls = []
+    monkeypatch.setattr(
+        "wpir.leakage.time_shared_query", lambda *args: calls.append(args)
+    )
+    with pytest.raises(ResourceLimitError, match="needs 648 = 3[*][|]S[|][*]N[*]M steps"):
+        build_all_tables(inst, guard=300)
+    assert calls == []  # refused before enumerating anything
+
+
 def test_linear_form_helpers():
     f = LinearForm(coeffs={0: F(4), 1: F(3), 2: F(3)})
     g = f.affine_on_simplex(3)

@@ -1,12 +1,16 @@
 """Tests for wire frames, servers, the generic decoder, and verification."""
+import hashlib
 import json
 import logging
+import random
 import socket
+import struct
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wpir.fields import PrimeField
+from wpir.fields import PrimeField, smallest_prime_at_least
 from wpir.leakage import ResourceLimitError, build_query_table, uniform_pmf
 from wpir.mds import make_rs_code
 from wpir.protocol import (
@@ -190,7 +194,7 @@ def test_decode_reports_underdetermined():
 
     answers = [
         tuple(
-            v.value
+            v
             for v in scheme_answer(q, server_column(storage, j), storage.params)
         )
         for j, q in enumerate(queries, start=1)
@@ -308,3 +312,113 @@ def test_tcp_server_logs_rejected_frame(caplog):
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "wpir.protocol" and r.levelno == logging.WARNING]
     assert messages == ["server 1 rejected a frame: connection closed mid-frame"]
+
+
+# SHA-256 over every query frame, answer frame and JSON transcript of the
+# seeded retrievals in _wire_digest, and the DecodeFailure messages of
+# decodes that lack one server; wire bytes must not drift.
+WIRE_SHA256 = "d2175e7f44a57713bd5ba3be5af869ed15788c17155dc74f17f988651ee50fb0"
+WIRE_INSTANCES = (("ztsl", 8, 7, 4), ("olr", 3, 5, 3), ("zyqt", 2, 4, 2), ("ztsl", 2, 3, 2))
+
+
+def _wire_digest(per_instance=60):
+    h = hashlib.sha256()
+
+    def recording(node):
+        def channel(frame):
+            reply = node.handle(frame)
+            h.update(frame)
+            h.update(reply)
+            return reply
+        return channel
+
+    for kind, m_files, n_servers, dim in WIRE_INSTANCES:
+        inst = make_scheme(kind, m_files, n_servers, dim)
+        fld = PrimeField(smallest_prime_at_least(n_servers))
+        code = make_rs_code(n_servers, dim, fld)
+        files = FileSet.random(m_files, inst.params.lam, dim, fld, seed=n_servers)
+        storage = encode_storage(files, code)
+        channels = [recording(ServerNode(inst, storage, j)) for j in range(1, n_servers + 1)]
+        rng = random.Random(f"{kind}{m_files}{n_servers}{dim}")
+        for i in range(per_instance):
+            m = rng.randrange(1, m_files + 1)
+            si = rng.randrange(inst.alphabet.size)
+            t = rng.randrange(1, n_servers + 1)
+            tamper = None
+            if i % 4 == 3:
+                bad = rng.randrange(1, n_servers + 1)
+
+                def tamper(j, reply, bad=bad):
+                    jj, values, _ = decode_answer_frame(reply)
+                    if j != bad or not values:
+                        return reply
+                    return encode_answer_frame(jj, ((values[0] + 1) % fld.q,) + values[1:])
+            tr = run_retrieval(inst, storage, m, si, t, channels=channels, tamper=tamper)
+            h.update(tr.to_json_line().encode())
+            h.update(b"\n")
+            if i % 4 == 1:
+                # drop the last server: the decoder must name what it lacks
+                try:
+                    got = decode(tr.queries[:-1], tr.answers[:-1], code, storage.params,
+                                 m, m_files)
+                    h.update(repr(got.to_ints()).encode())
+                except DecodeFailure as exc:
+                    h.update(str(exc).encode())
+    return h.hexdigest()
+
+
+def test_wire_bytes_and_transcripts_pinned():
+    assert _wire_digest() == WIRE_SHA256
+
+
+def _tcp_servers(inst, storage):
+    return [TcpServer(ServerNode(inst, storage, j)) for j in range(1, inst.n_servers + 1)]
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "wpir.protocol" and r.levelno == logging.WARNING]
+
+
+def test_tcp_server_survives_reset_peer(monkeypatch, caplog):
+    """A peer that sends half a header and resets must not kill the server."""
+    monkeypatch.setattr("wpir.protocol.SOCKET_TIMEOUT_S", 2.0)
+    inst, storage = build(SchemeKind.ZTSL, seed=79)
+    servers = _tcp_servers(inst, storage)
+    try:
+        with caplog.at_level(logging.WARNING, logger="wpir.protocol"):
+            conn = socket.create_connection(servers[0].address, timeout=10)
+            conn.sendall(b"\x00\x00")
+            # linger 0: close sends a reset instead of a clean shutdown
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            channels = [tcp_channel(srv.address) for srv in servers]
+            tr = run_retrieval(inst, storage, 1, 2, 2, channels=channels)
+        assert tr.success
+        assert servers[0]._thread.is_alive()
+        assert any(msg.startswith("server 1 ") for msg in _warnings(caplog))
+    finally:
+        for srv in servers:
+            srv.close()
+
+
+def test_tcp_server_drops_silent_peer(monkeypatch, caplog):
+    """A peer that connects and sends nothing is timed out, then the
+    server answers the next client."""
+    monkeypatch.setattr("wpir.protocol.SOCKET_TIMEOUT_S", 0.3)
+    inst, storage = build(SchemeKind.ZTSL, seed=83)
+    servers = _tcp_servers(inst, storage)
+    try:
+        with caplog.at_level(logging.WARNING, logger="wpir.protocol"):
+            with socket.create_connection(servers[0].address, timeout=10):
+                deadline = time.monotonic() + 10
+                while not _warnings(caplog) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert _warnings(caplog) == ["server 1 dropped a connection: timed out"]
+                channels = [tcp_channel(srv.address) for srv in servers]
+                tr = run_retrieval(inst, storage, 2, 1, 3, channels=channels)
+        assert tr.success
+        assert servers[0]._thread.is_alive()
+    finally:
+        for srv in servers:
+            srv.close()

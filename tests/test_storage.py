@@ -59,7 +59,7 @@ def test_zero_files_zero_columns():
     code = make_rs_code(3, 2, GF3)
     st = encode_storage(FileSet.zeros(2, 1, 2, GF3), code)
     for j in range(1, 4):
-        assert all(e.value == 0 for e in server_column(st, j))
+        assert all(e == 0 for e in server_column(st, j).residues.flat)
 
 
 def test_block_layout_2_3_2():
@@ -68,7 +68,7 @@ def test_block_layout_2_3_2():
     st = encode_storage(FileSet.random(2, 1, 2, GF3, seed=4), code)
     for j in range(1, 4):
         col = server_column(st, j)
-        assert len(col) == 2 * 3
+        assert col.cols == 2 * 3
         for m in (1, 2):
             assert st.symbol(m, 1, j).value == 0
             assert st.symbol(m, 2, j).value == 0
@@ -93,7 +93,7 @@ def test_gcd_reduction_case():
     st = encode_storage(fs, code)
     assert st.params == EffectiveParams(2, 1, 1, 1)
     for j in range(1, 5):
-        assert len(server_column(st, j)) == 3 * 2
+        assert server_column(st, j).cols == 3 * 2
         for m in (1, 2, 3):
             assert st.symbol(m, 1, j).value == 0
 
