@@ -19,12 +19,9 @@ from .leakage import (
     ResourceLimitError,
     build_all_tables,
     build_query_table,
-    capacity_rate,
     download_cost_form,
     maxl,
-    overall_maxl,
     uniform_pmf,
-    wpir_rate,
 )
 from .mds import MdsCode, check_mds, make_rs_code
 from .optimizer import (
@@ -32,7 +29,6 @@ from .optimizer import (
     brute_force_min_leakage,
     default_grid,
     solve_tradeoff_point,
-    sweep_tradeoff,
 )
 from .protocol import (
     DecodeFailure,
@@ -43,7 +39,6 @@ from .protocol import (
     simulate_downloads,
     tcp_channel,
     verify_retrievability,
-    write_transcripts,
 )
 from .schemes import (
     SchemeInstance,
@@ -82,7 +77,6 @@ __all__ = [
     "brute_force_min_leakage",
     "build_all_tables",
     "build_query_table",
-    "capacity_rate",
     "check_mds",
     "default_grid",
     "download_cost_form",
@@ -92,17 +86,13 @@ __all__ = [
     "make_rs_code",
     "make_scheme",
     "maxl",
-    "overall_maxl",
     "run_retrieval",
     "simulate_downloads",
     "smallest_prime_at_least",
     "solve_linear",
     "solve_tradeoff_point",
-    "sweep_tradeoff",
     "tcp_channel",
     "time_shared_query",
     "uniform_pmf",
     "verify_retrievability",
-    "wpir_rate",
-    "write_transcripts",
 ]

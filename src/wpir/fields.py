@@ -307,17 +307,17 @@ class LinearSolution:
     """Reduced-echelon description of the solution set of A x = b.
 
     status is "unique", "underdetermined" or "infeasible".  For feasible
-    systems, `solution` is the particular solution with free variables set
-    to zero, and `determined[v]` says whether unknown v takes the same
-    value in every solution.  `reduced_rows` holds the nonzero rows of the
-    reduced echelon form of A; it is None for an infeasible system or a
-    zero A.
+    systems, `solution` is the particular solution as residues (ints in
+    [0, q)) with free variables set to zero, and `determined[v]` says
+    whether unknown v takes the same value in every solution.
+    `reduced_rows` holds the nonzero rows of the reduced echelon form of
+    A; it is None for an infeasible system or a zero A.
     """
 
     status: str
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
-    solution: tuple | None
+    solution: tuple[int, ...] | None
     determined: tuple[bool, ...]
     reduced_rows: FieldMatrix | None = field(repr=False, default=None)
 
@@ -401,7 +401,7 @@ def solve_linear(a: FieldMatrix, b) -> LinearSolution:
         status="unique" if not free_cols else "underdetermined",
         pivot_cols=tuple(pivot_cols),
         free_cols=free_cols,
-        solution=tuple(FieldElement(v, fld) for v in sol),
+        solution=tuple(sol),
         determined=tuple(determined),
         reduced_rows=FieldMatrix._wrap(m[:r, :n].copy(), fld) if r else None,
     )

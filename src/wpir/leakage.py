@@ -1,4 +1,4 @@
-"""Exact conditional query distributions, maximal leakage, cost, and rate.
+"""Exact conditional query distributions, maximal leakage, and cost.
 
 Under time sharing every conditional query probability is an integer
 count over N: P(q|m) at strategy s is the number of shifts t that send
@@ -263,22 +263,6 @@ def maxl(table: ConditionalQueryTable, z) -> LeakageValue:
     )
 
 
-@dataclass(frozen=True)
-class OverallLeakage:
-    per_server: tuple[LeakageValue, ...]
-    bits: float
-    normalized: float
-
-
-def overall_maxl(tables, z) -> OverallLeakage:
-    """Worst-case leakage over servers; identical per server under time sharing."""
-    per_server = tuple(maxl(tb, z) for tb in tables)
-    worst = max(per_server, key=lambda v: v.raw_sum)
-    return OverallLeakage(
-        per_server=per_server, bits=worst.bits, normalized=worst.normalized
-    )
-
-
 def download_cost_form(tables) -> LinearForm:
     """D(z) = sum over the N servers and their queries of length * marginal
     probability, folded to canonical affine form on the simplex.
@@ -295,25 +279,11 @@ def download_cost_form(tables) -> LinearForm:
     return LinearForm(coeffs=coeffs).affine_on_simplex(table.alphabet_size)
 
 
-def wpir_rate(lam: int, dim: int, d_cost) -> Fraction:
-    """Retrieval rate lambda * K / D."""
-    d = Fraction(d_cost)
-    if d <= 0:
-        raise ValueError(f"download cost must be positive, got {d}")
-    return Fraction(lam * dim) / d
-
-
-def capacity_rate(m_files: int, n_servers: int, dim: int) -> Fraction:
-    """Perfect-privacy rate (1 - K/N) / (1 - (K/N)^M) of coded PIR."""
-    ratio = Fraction(dim, n_servers)
-    return (1 - ratio) / (1 - ratio**m_files)
-
-
 def serialize_query(q: QueryMatrix) -> str:
     return "|".join(" ".join(str(e) for e in row) for row in q.rows)
 
 
-def serialize_form(f: LinearForm, size: int) -> str:
+def serialize_form(f: LinearForm) -> str:
     """Sparse 'z<i>:<frac>' pairs with 1-based strategy indices."""
     parts = [f"z{i + 1}:{c}" for i, c in sorted(f.coeffs.items())]
     if f.constant != 0 or not parts:
@@ -328,7 +298,7 @@ def table_to_csv(table: ConditionalQueryTable) -> str:
         for m in range(1, table.m_files + 1):
             lines.append(
                 f"{table.server},{serialize_query(q)},{m},"
-                f"{serialize_form(table.prob_form(q, m), table.alphabet_size)},"
+                f"{serialize_form(table.prob_form(q, m))},"
                 f"{table.lengths[q]}"
             )
     return "\n".join(lines) + "\n"

@@ -70,7 +70,7 @@ def encode_row(code: MdsCode, w) -> tuple:
 
 
 def decode_from(code: MdsCode, positions, symbols) -> tuple:
-    """Recover the message row from any K codeword coordinates."""
+    """Recover the message row, as residues, from any K codeword coordinates."""
     if len(positions) != code.dim or len(symbols) != code.dim:
         raise ValueError(f"need exactly K={code.dim} coordinates")
     sub = code.generator.submatrix(range(code.dim), positions)

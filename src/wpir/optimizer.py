@@ -58,7 +58,7 @@ class LpProblem:
 class LpSolution:
     status: str  # "optimal" | "infeasible"
     objective: float | None
-    z: tuple[Fraction, ...] | None
+    x: np.ndarray | None  # the solver's float strategy weights
     duality_gap: float | None
 
     @property
@@ -118,18 +118,18 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     )
 
 
-def _with_leakage_cap(p: LpProblem, cost_form: LinearForm, cap: float) -> LpProblem:
-    """Swap the objective to the download cost, capping total leakage."""
+def _with_leakage_cap(p: LpProblem, cap: float) -> LpProblem:
+    """Swap the objective to the download cost (the last row of a_ub),
+    capping total leakage."""
     n_t = p.c.size - p.n_z
     cap_row = sparse.csr_matrix(
         (np.ones(n_t), (np.zeros(n_t, dtype=int), p.n_z + np.arange(n_t))),
         shape=(1, p.c.size),
         dtype=float,
     )
-    c = np.concatenate([_cost_vector(cost_form, p.n_z), np.zeros(n_t)])
     return LpProblem(
         n_z=p.n_z,
-        c=c,
+        c=p.a_ub[-1].toarray().ravel(),
         a_ub=sparse.vstack([p.a_ub, cap_row], format="csr"),
         b_ub=np.concatenate([p.b_ub, [cap]]),
         a_eq=p.a_eq,
@@ -149,7 +149,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
     )
     if res.status == 2:
         return LpSolution(
-            status="infeasible", objective=None, z=None, duality_gap=None
+            status="infeasible", objective=None, x=None, duality_gap=None
         )
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
@@ -157,7 +157,6 @@ def solve_lp(p: LpProblem) -> LpSolution:
     dual = (
         p.b_ub @ res.ineqlin.marginals
         + p.b_eq @ res.eqlin.marginals
-        + np.sum(res.lower.marginals * 0.0)
         + np.sum(res.upper.marginals * 1.0)
     )
     gap = abs(float(res.fun) - float(dual))
@@ -166,11 +165,10 @@ def solve_lp(p: LpProblem) -> LpSolution:
             f"LP solver certificate fails: duality gap {gap:.3e} exceeds "
             f"{MAX_DUALITY_GAP:g}"
         )
-    z = normalize_pmf(
-        [Fraction(float(v)) if v > 0 else Fraction(0) for v in res.x[: p.n_z]]
-    )
+    # a copy: a view would keep the solver's whole result alive
     return LpSolution(
-        status="optimal", objective=float(res.fun), z=z, duality_gap=gap
+        status="optimal", objective=float(res.fun), x=res.x[: p.n_z].copy(),
+        duality_gap=gap,
     )
 
 
@@ -187,42 +185,27 @@ class TradeoffPoint:
     z: tuple[Fraction, ...]
 
 
-def _snap_to_rationals(z, table, cost_form, d_target):
-    """Round z to nearby small-denominator rationals when that weakly
-    improves the exact leakage without breaking the cost cap."""
-    snapped = tuple(v.limit_denominator(_SNAP_DENOMINATOR) for v in z)
-    total = sum(snapped)
-    if total <= 0:
-        return z
-    snapped = tuple(v / total for v in snapped)
-    if snapped == z:
-        return z
-    if cost_form.evaluate(snapped) > Fraction(d_target):
-        return z
-    if maxl(table, snapped).raw_sum > maxl(table, z).raw_sum:
-        return z
-    return snapped
-
-
-def solve_tradeoff_point(
-    tables, cost_form: LinearForm, d_target, lam: int, dim: int, two_stage: bool = True
-):
-    """Optimal leakage at one cost target, then (optionally) the cheapest
-    cost achieving it.  Returns None when the target is infeasible."""
+def solve_tradeoff_point(tables, cost_form: LinearForm, d_target, lam: int, dim: int):
+    """Optimal leakage at one cost target, then the cheapest cost achieving
+    it, made exact.  Returns None when the target is infeasible."""
     table = shared_table(tables)
     p = reformulate(tables, cost_form, d_target)
     sol = solve_lp(p)
     if not sol.is_optimal:
         return None
-    if two_stage:
-        sol2 = solve_lp(
-            _with_leakage_cap(p, cost_form, sol.objective + LEAKAGE_CAP_SLACK)
-        )
-        if sol2.is_optimal:
-            sol = sol2
-    z = _snap_to_rationals(sol.z, table, cost_form, d_target)
-    val = maxl(table, z)
-    d_achieved = cost_form.evaluate(z)
+    capped = solve_lp(_with_leakage_cap(p, sol.objective + LEAKAGE_CAP_SLACK))
+    z = normalize_pmf((capped if capped.is_optimal else sol).x)
+    val, d_achieved = maxl(table, z), cost_form.evaluate(z)
+    snapped = tuple(v.limit_denominator(_SNAP_DENOMINATOR) for v in z)
+    total = sum(snapped)
+    if total > 0:
+        snapped = tuple(v / total for v in snapped)
+        if snapped != z:
+            d_snapped = cost_form.evaluate(snapped)
+            if d_snapped <= Fraction(d_target):
+                val_snapped = maxl(table, snapped)
+                if val_snapped.raw_sum <= val.raw_sum:
+                    z, val, d_achieved = snapped, val_snapped, d_snapped
     return TradeoffPoint(
         d_target=Fraction(d_target),
         d_achieved=d_achieved,
@@ -241,28 +224,6 @@ def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):
     if grid_size < 2 or lo == hi:
         return [hi]
     return [lo + (hi - lo) * Fraction(i, grid_size - 1) for i in range(grid_size)]
-
-
-def sweep_tradeoff(tables, cost_form, lam: int, dim: int, d_grid=None, grid_size: int = 60):
-    """One TradeoffPoint per feasible target, deduplicated, sorted by rate."""
-    table = shared_table(tables)
-    if d_grid is None:
-        d_grid = default_grid(cost_form, table.alphabet_size, grid_size)
-    points = []
-    for d_target in d_grid:
-        pt = solve_tradeoff_point(tables, cost_form, d_target, lam, dim)
-        if pt is not None:
-            points.append(pt)
-    if not points:
-        raise ValueError("every target in the sweep grid was infeasible")
-    seen = set()
-    unique = []
-    for pt in sorted(points, key=lambda p: (p.rate, p.leakage_sum)):
-        key = (round(pt.leakage_bits, 12), pt.rate)
-        if key not in seen:
-            seen.add(key)
-            unique.append(pt)
-    return unique
 
 
 def _composition_chunks(total: int, size: int, chunk: int = _CHUNK):

@@ -7,7 +7,8 @@ carries [server j][count] and the transmitted sub-responses as 2-byte
 big-endian field elements.  Servers sum over `schemes.answer_positions`;
 the client solves the system those positions define over every message
 symbol of every file, and demands that the desired file's symbols be
-uniquely determined.  TCP sockets time out after SOCKET_TIMEOUT_S.
+uniquely determined.  Over TCP a whole frame must arrive within
+SOCKET_TIMEOUT_S, and each connection is served on its own thread.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import random
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,7 @@ DEFAULT_VERIFY_GUARD = 100_000
 MAX_FIELD_SIZE = 1 << 16
 # server indices travel as one byte
 MAX_SERVERS = 255
-# seconds a TCP peer may stay silent before its connection is dropped
+# seconds a TCP peer has to deliver a whole frame
 SOCKET_TIMEOUT_S = 10.0
 
 _log = logging.getLogger(__name__)
@@ -197,8 +199,7 @@ def decode(queries, answers, code, params, m: int, m_files: int) -> FieldMatrix:
             f"symbol ({i},{c}) of file {m} is not uniquely determined"
         )
     return FieldMatrix.from_ints(
-        np.array([int(v) for v in res.solution[first:last]]).reshape(lam, dim),
-        code.field,
+        np.array(res.solution[first:last]).reshape(lam, dim), code.field
     )
 
 
@@ -408,19 +409,13 @@ def simulate_downloads(
     return stats
 
 
-def write_transcripts(path, transcripts) -> int:
-    """Write transcripts as line-delimited JSON; returns the line count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for tr in transcripts:
-            fh.write(tr.to_json_line() + "\n")
-            n += 1
-    return n
-
-
-def _recv_exact(conn: socket.socket, nbytes: int) -> bytes:
+def _recv_exact(conn: socket.socket, nbytes: int, deadline: float) -> bytes:
     buf = b""
     while len(buf) < nbytes:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"no whole frame within {SOCKET_TIMEOUT_S:g} s")
+        conn.settimeout(left)
         chunk = conn.recv(nbytes - len(buf))
         if not chunk:
             raise ProtocolError("connection closed mid-frame")
@@ -429,13 +424,16 @@ def _recv_exact(conn: socket.socket, nbytes: int) -> bytes:
 
 
 def _recv_frame(conn: socket.socket) -> bytes:
-    header = _recv_exact(conn, 4)
+    """One whole frame, which must arrive within SOCKET_TIMEOUT_S."""
+    deadline = time.monotonic() + SOCKET_TIMEOUT_S
+    header = _recv_exact(conn, 4, deadline)
     (length,) = struct.unpack(">I", header)
-    return header + _recv_exact(conn, length)
+    return header + _recv_exact(conn, length, deadline)
 
 
 class TcpServer:
-    """Loopback TCP wrapper around one ServerNode, one frame per connection."""
+    """Loopback TCP wrapper around one ServerNode, one frame per connection,
+    each connection served on its own thread."""
 
     def __init__(self, node: ServerNode):
         self.node = node
@@ -452,14 +450,16 @@ class TcpServer:
                 conn, _ = self.sock.accept()
             except OSError:
                 return
-            with conn:
-                conn.settimeout(SOCKET_TIMEOUT_S)
-                try:
-                    conn.sendall(self.node.handle(_recv_frame(conn)))
-                except ProtocolError as exc:
-                    _log.warning("server %d rejected a frame: %s", self.node.j, exc)
-                except OSError as exc:  # a reset, a timeout, a closed peer
-                    _log.warning("server %d dropped a connection: %s", self.node.j, exc)
+            threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+
+    def _answer(self, conn: socket.socket):
+        with conn:
+            try:
+                conn.sendall(self.node.handle(_recv_frame(conn)))
+            except ProtocolError as exc:
+                _log.warning("server %d rejected a frame: %s", self.node.j, exc)
+            except OSError as exc:  # a reset, a timeout, a closed peer
+                _log.warning("server %d dropped a connection: %s", self.node.j, exc)
 
     def close(self):
         self.sock.close()

@@ -167,7 +167,7 @@ def test_reformulate_bitwise_equal_to_reference(instance):
             (p.c, c),
         ):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    capped = _with_leakage_cap(p, cost, 1.5)
+    capped = _with_leakage_cap(p, 1.5)
     expect_c = np.zeros(capped.c.size)
     for i in range(size):
         expect_c[i] = float(cost.coefficient(i))

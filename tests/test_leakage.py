@@ -1,4 +1,4 @@
-"""Tests for conditional query tables, leakage, cost forms, and rates."""
+"""Tests for conditional query tables, leakage, and cost forms."""
 import math
 import random
 from fractions import Fraction as F
@@ -11,15 +11,12 @@ from wpir.leakage import (
     as_pmf,
     build_all_tables,
     build_query_table,
-    capacity_rate,
     download_cost_form,
     maxl,
     normalize_pmf,
-    overall_maxl,
     serialize_query,
     table_to_csv,
     uniform_pmf,
-    wpir_rate,
 )
 from wpir.schemes import QueryMatrix, SchemeKind, make_scheme
 
@@ -167,9 +164,10 @@ def test_maxl_bounded_by_log_m():
             weights = [rng.randrange(10) + (1 if i == 0 else 0) for i in
                        range(inst.alphabet.size)]
             z = normalize_pmf(weights)
-            val = overall_maxl(tables, z)
-            assert 0.0 <= val.bits <= math.log2(2) + 1e-12
-            per = {v.raw_sum for v in val.per_server}
+            per_server = [maxl(tb, z) for tb in tables]
+            for val in per_server:
+                assert 0.0 <= val.bits <= math.log2(2) + 1e-12
+            per = {v.raw_sum for v in per_server}
             assert len(per) == 1  # time sharing equalizes servers exactly
 
 
@@ -193,7 +191,8 @@ def test_cost_at_uniform_is_capacity_point():
         form = download_cost_form(build_all_tables(inst))
         d = form.evaluate(uniform_pmf(inst.alphabet.size))
         assert d == F(10, 3)
-        assert wpir_rate(1, 2, d) == F(3, 5) == capacity_rate(2, 3, 2)
+        # rate lam*K/D equals the coded-PIR capacity (1 - K/N) / (1 - (K/N)^M)
+        assert F(2) / d == F(3, 5) == (1 - F(2, 3)) / (1 - F(2, 3) ** 2)
 
 
 def test_cost_extremes_on_simplex():
@@ -217,14 +216,6 @@ def test_cost_never_below_lam_k():
                 [rng.randrange(1, 9) for _ in range(inst.alphabet.size)]
             )
             assert form.evaluate(z) >= inst.params.lam * inst.dim
-
-
-def test_wpir_rate_examples_and_errors():
-    assert wpir_rate(1, 2, 2) == 1
-    assert wpir_rate(1, 2, F(10, 3)) == F(3, 5)
-    assert wpir_rate(2, 3, 6) == 1
-    with pytest.raises(ValueError):
-        wpir_rate(1, 2, 0)
 
 
 def test_resource_guard_counts():

@@ -1,4 +1,5 @@
 """Tests for the trade-off LP, the sweep, and the brute-force oracle."""
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from wpir.leakage import (
     build_query_table,
     download_cost_form,
     maxl,
+    normalize_pmf,
     uniform_pmf,
 )
 from wpir.optimizer import (
@@ -23,7 +25,6 @@ from wpir.optimizer import (
     reformulate,
     solve_lp,
     solve_tradeoff_point,
-    sweep_tradeoff,
 )
 from wpir.schemes import SchemeKind, make_scheme
 
@@ -84,7 +85,7 @@ def test_exactness_lp_vs_table():
     for d in (F(5, 2), 3, F(7, 2)):
         p = reformulate(tables, cost, d)
         sol = solve_lp(p)
-        exact = maxl(tables[0], sol.z)
+        exact = maxl(tables[0], normalize_pmf(sol.x))
         assert math.log2(sol.objective) == pytest.approx(exact.bits, abs=1e-9)
 
 
@@ -101,8 +102,6 @@ def test_two_stage_lowers_cost_to_envelope():
 def test_infeasible_below_min_cost():
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
     assert solve_tradeoff_point(tables, cost, F(29, 10), 1, 2) is None
-    with pytest.raises(ValueError):
-        sweep_tradeoff(tables, cost, 1, 2, d_grid=[F(5, 2)])
 
 
 def test_single_file_leakage_always_zero():
@@ -126,31 +125,56 @@ def test_default_grid_spans_extremes():
     assert len(grid) == 5
 
 
-def test_sweep_sorted_dedup_and_monotone():
-    inst, tables, cost = setup_scheme(SchemeKind.OLR)
-    pts = sweep_tradeoff(tables, cost, inst.params.lam, inst.dim, grid_size=21)
-    rates = [pt.rate for pt in pts]
-    assert rates == sorted(rates)
-    assert len({(round(p.leakage_bits, 12), p.rate) for p in pts}) == len(pts)
+def _sweep(kind, grid_size):
+    """One point per target of the default grid, in target order."""
+    inst, tables, cost = setup_scheme(kind)
+    grid = default_grid(cost, inst.alphabet.size, grid_size)
+    return [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+            for d in grid]
+
+
+def test_sweep_leakage_monotone_in_target():
+    pts = _sweep(SchemeKind.OLR, 21)
     # leakage is nonincreasing in the cost target
-    by_target = sorted(pts, key=lambda p: p.d_target)
-    for a, b in zip(by_target, by_target[1:]):
+    for a, b in zip(pts, pts[1:]):
         assert b.leakage_sum <= a.leakage_sum + F(1, 10**9)
 
 
 def test_sweep_value_function_convex():
     """The LP optimum 2^leakage is convex in the cost target; leakage in
     bits is only monotone (log of a linear value function is concave)."""
-    inst, tables, cost = setup_scheme(SchemeKind.OLR)
-    pts = sorted(
-        sweep_tradeoff(tables, cost, 1, 2, grid_size=9),
-        key=lambda p: p.d_target,
-    )
+    pts = _sweep(SchemeKind.OLR, 9)
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         frac = (b.d_target - a.d_target) / (c.d_target - a.d_target)
         chord = (1 - frac) * a.leakage_sum + frac * c.leakage_sum
         assert b.leakage_sum <= chord + F(1, 10**6)
         assert b.leakage_bits <= a.leakage_bits + 1e-9
+
+
+# SHA-256 over repr((d_target, d_achieved, leakage_sum, leakage_bits, rate,
+# z)) of every frontier point below: a change to any point's exact values
+# or float digits changes it
+FRONTIER_SHA256 = "0764f2acd79bfc854640105a3dc4fbd01cf068ea9bde21a669ba0d8a97d41a1b"
+
+
+def test_frontier_points_pinned():
+    cases = [(SchemeKind.OLR, 2, 3, 2, 9), (SchemeKind.ZTSL, 2, 3, 2, 9),
+             (SchemeKind.ZYQT, 2, 3, 2, 9), (SchemeKind.ZYQT, 3, 3, 2, 9),
+             (SchemeKind.ZTSL, 3, 4, 2, 7), (SchemeKind.ZYQT, 1, 3, 2, 5)]
+    digest = hashlib.sha256()
+    for kind, m_files, n_servers, dim, grid in cases:
+        inst = make_scheme(kind, m_files, n_servers, dim)
+        tables = (build_query_table(inst, 1),)
+        cost = download_cost_form(tables)
+        size = inst.alphabet.size
+        # the last target lies below every achievable cost
+        targets = default_grid(cost, size, grid) + [cost.min_on_simplex(size) - 1]
+        for d in targets:
+            pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+            digest.update(repr(None if pt is None else (
+                pt.d_target, pt.d_achieved, pt.leakage_sum, pt.leakage_bits,
+                pt.rate, pt.z)).encode())
+    assert digest.hexdigest() == FRONTIER_SHA256
 
 
 def test_composition_grid_count():
@@ -161,7 +185,7 @@ def test_composition_grid_count():
 def test_brute_force_matches_lp_ztsl():
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
     for d in (3, F(13, 4), F(7, 2), F(15, 4), 4):
-        pt = solve_tradeoff_point(tables, cost, d, 1, 2, two_stage=False)
+        pt = solve_tradeoff_point(tables, cost, d, 1, 2)
         bits, z = brute_force_min_leakage(tables[0], cost, d, step=F(1, 50))
         assert bits >= pt.leakage_bits - 1e-9
         assert bits <= pt.leakage_bits + 0.05

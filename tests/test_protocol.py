@@ -5,6 +5,7 @@ import logging
 import random
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -30,7 +31,6 @@ from wpir.protocol import (
     tcp_channel,
     time_shared_query,
     verify_retrievability,
-    write_transcripts,
 )
 from wpir.schemes import QueryMatrix, SchemeKind, answer_length, make_scheme
 from wpir.storage import FileSet, encode_storage
@@ -231,12 +231,11 @@ def test_simulate_downloads_counts():
     assert again.total_downloaded == stats.total_downloaded
 
 
-def test_transcript_jsonl_round_trip(tmp_path):
+def test_transcript_jsonl_round_trip():
     inst, storage = build(SchemeKind.OLR, seed=67)
     trs = [run_retrieval(inst, storage, m, 0, 1) for m in (1, 2)]
-    path = tmp_path / "transcripts.jsonl"
-    assert write_transcripts(path, trs) == 2
-    lines = path.read_text().splitlines()
+    lines = [tr.to_json_line() for tr in trs]
+    assert all("\n" not in line for line in lines)  # one JSONL line each
     rec = json.loads(lines[0])
     assert rec["success"] is True
     assert rec["m"] == 1
@@ -422,3 +421,46 @@ def test_tcp_server_drops_silent_peer(monkeypatch, caplog):
     finally:
         for srv in servers:
             srv.close()
+
+
+def test_tcp_trickling_peer_blocks_no_other_client(monkeypatch, caplog):
+    """A peer that sends one byte every 0.3 s never finishes its frame
+    within the 0.5 s deadline: it is dropped, and meanwhile a well-formed
+    retrieval over the same server decodes."""
+    monkeypatch.setattr("wpir.protocol.SOCKET_TIMEOUT_S", 0.5)
+    inst, storage = build(SchemeKind.ZTSL, seed=89)
+    servers = _tcp_servers(inst, storage)
+    stop = threading.Event()
+    trickler = socket.create_connection(servers[0].address, timeout=10)
+
+    def trickle():
+        try:
+            for byte in b"\x00\x00\x00\x10" + bytes(16):
+                trickler.sendall(bytes([byte]))
+                if stop.wait(0.3):
+                    return
+        except OSError:  # the server has dropped the connection
+            pass
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="wpir.protocol"):
+            time.sleep(0.1)
+            channels = [tcp_channel(srv.address) for srv in servers]
+            tr = run_retrieval(inst, storage, 1, 1, 2, channels=channels)
+            # answered while the trickling connection was still held open
+            assert not _warnings(caplog)
+            deadline = time.monotonic() + 10
+            while not _warnings(caplog) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        assert tr.success
+        assert [msg.split(":")[0] for msg in _warnings(caplog)] == [
+            "server 1 dropped a connection"]
+    finally:
+        stop.set()
+        sender.join(10)
+        trickler.close()
+        for srv in servers:
+            srv.close()
+    assert not sender.is_alive()
