@@ -5,7 +5,6 @@ schemes over it, computes exact maximal-leakage/download trade-offs,
 and verifies perfect retrievability over a binary wire protocol.
 """
 from .fields import (
-    FieldElement,
     FieldMatrix,
     PrimeField,
     is_prime,
@@ -57,7 +56,6 @@ __all__ = [
     "ConditionalQueryTable",
     "DecodeFailure",
     "EncodedStorage",
-    "FieldElement",
     "FieldMatrix",
     "FileSet",
     "LeakageValue",

@@ -12,7 +12,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldMatrix, PrimeField, is_prime, smallest_prime_at_least
+from .fields import (
+    MAX_FIELD_SIZE,
+    FieldMatrix,
+    PrimeField,
+    is_prime,
+    smallest_prime_at_least,
+)
 from .leakage import (
     ResourceLimitError,
     build_all_tables,
@@ -26,12 +32,7 @@ from .leakage import (
 )
 from .mds import MdsCode, make_rs_code
 from .optimizer import default_grid, solve_tradeoff_point
-from .protocol import (
-    MAX_FIELD_SIZE,
-    MAX_SERVERS,
-    simulate_downloads,
-    verify_retrievability,
-)
+from .protocol import MAX_SERVERS, simulate_downloads, verify_retrievability
 from .schemes import SchemeKind, make_scheme
 from .storage import FileSet, encode_storage
 
@@ -187,9 +188,9 @@ def cmd_enumerate(cfg: InstanceConfig, args, stdout) -> int:
 
 
 def cmd_table(cfg: InstanceConfig, args, stdout) -> int:
-    inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
     if not 1 <= args.server <= cfg.n_servers:
         raise ConfigError(f"server {args.server} outside [1:{cfg.n_servers}]")
+    inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
     table = build_query_table(inst, args.server)
     _emit(cfg, table_to_csv(table), stdout)
     return EXIT_OK
@@ -260,7 +261,13 @@ def _build_code(cfg: InstanceConfig, corrupt: bool) -> MdsCode:
     return code
 
 
+def _check_samples(args) -> None:
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples needs at least 1, got {args.samples}")
+
+
 def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
+    _check_samples(args)
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
     sampled = bool(args.samples) and not args.exhaustive
     try:
@@ -309,6 +316,7 @@ def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
 
 
 def cmd_simulate(cfg: InstanceConfig, args, stdout) -> int:
+    _check_samples(args)
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
     z = uniform_pmf(inst.alphabet.size)
     stats = simulate_downloads(inst, z, count=args.samples or 10000, seed=cfg.seed)

@@ -143,27 +143,24 @@ class ConditionalQueryTable:
         return self.lengths[q]
 
 
-def check_table_budget(inst: SchemeInstance, n_tables: int, guard: int | None = None) -> None:
-    """Refuse n_tables enumerations of |S|*N*M steps beyond guard
-    (default DEFAULT_TABLE_GUARD, read at call time)."""
-    guard = DEFAULT_TABLE_GUARD if guard is None else guard
+def check_table_budget(inst: SchemeInstance, n_tables: int) -> None:
+    """Refuse n_tables enumerations of |S|*N*M steps beyond
+    DEFAULT_TABLE_GUARD (read at call time)."""
     size, n, m = inst.alphabet.size, inst.n_servers, inst.m_files
     work = n_tables * size * n * m
-    if work > guard:
+    if work > DEFAULT_TABLE_GUARD:
         tables = "" if n_tables == 1 else f"{n_tables}*"
         raise ResourceLimitError(f"table enumeration needs {work} = {tables}|S|*N*M "
-                                 f"steps ({size}*{n}*{m}), budget {guard}")
+                                 f"steps ({size}*{n}*{m}), budget {DEFAULT_TABLE_GUARD}")
 
 
-def build_query_table(
-    inst: SchemeInstance, j: int, guard: int | None = None
-) -> ConditionalQueryTable:
+def build_query_table(inst: SchemeInstance, j: int) -> ConditionalQueryTable:
     """Tabulate P(q|m) at server j by enumerating (m, s, t) triples.
 
     Each strategy s and uniform shift t add one to the count of the
-    realized time-shared query.  See check_table_budget for guard.
+    realized time-shared query.  See check_table_budget for the budget.
     """
-    check_table_budget(inst, 1, guard)
+    check_table_budget(inst, 1)
     size = inst.alphabet.size
     first_seen: dict[QueryMatrix, int] = {}
     hit_query, hit_file, hit_strategy = [], [], []
@@ -195,14 +192,10 @@ def build_query_table(
     )
 
 
-def build_all_tables(
-    inst: SchemeInstance, guard: int | None = None
-) -> tuple[ConditionalQueryTable, ...]:
+def build_all_tables(inst: SchemeInstance) -> tuple[ConditionalQueryTable, ...]:
     """Every server's table, each enumerated on its own, under one budget."""
-    check_table_budget(inst, inst.n_servers, guard)
-    return tuple(
-        build_query_table(inst, j, guard) for j in range(1, inst.n_servers + 1)
-    )
+    check_table_budget(inst, inst.n_servers)
+    return tuple(build_query_table(inst, j) for j in range(1, inst.n_servers + 1))
 
 
 def shared_table(tables) -> ConditionalQueryTable:

@@ -62,11 +62,11 @@ def make_rs_code(n_total: int, dim: int, fld: PrimeField) -> MdsCode:
     return MdsCode(n_total, dim, gen)
 
 
-def encode_row(code: MdsCode, w) -> tuple:
-    """Codeword w @ G for a length-K message row w of FieldElements."""
+def encode_row(code: MdsCode, w) -> tuple[int, ...]:
+    """Codeword w @ G, as residues, for a length-K message row w of ints."""
     if len(w) != code.dim:
         raise ValueError(f"message length {len(w)} != K={code.dim}")
-    return (FieldMatrix([w]) @ code.generator).row(0)
+    return tuple((FieldMatrix.from_ints([w], code.field) @ code.generator).to_ints()[0])
 
 
 def decode_from(code: MdsCode, positions, symbols) -> tuple:

@@ -226,8 +226,8 @@ def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):
     return [lo + (hi - lo) * Fraction(i, grid_size - 1) for i in range(grid_size)]
 
 
-def _composition_chunks(total: int, size: int, chunk: int = _CHUNK):
-    """Integer vectors of the given size summing to total, chunked."""
+def _composition_chunks(total: int, size: int):
+    """Integer vectors of the given size summing to total, _CHUNK at a time."""
     if size == 1:
         yield np.array([[total]], dtype=np.int64)
         return
@@ -240,7 +240,7 @@ def _composition_chunks(total: int, size: int, chunk: int = _CHUNK):
             prev = d
         row.append(total + size - 2 - prev)
         buf.append(row)
-        if len(buf) == chunk:
+        if len(buf) == _CHUNK:
             yield np.array(buf, dtype=np.int64)
             buf = []
     if buf:
@@ -256,11 +256,12 @@ def brute_force_min_leakage(
     cost_form: LinearForm,
     d_target,
     step: Fraction = Fraction(1, 50),
-    guard: int = DEFAULT_GRID_GUARD,
 ):
     """Minimum leakage over a barycentric PMF grid under the cost cap.
 
     Returns (bits, argmin PMF); independent of the LP by construction.
+    Grids of more than DEFAULT_GRID_GUARD points (read at call time) are
+    refused.
     """
     step = Fraction(step)
     total = int(1 / step)
@@ -268,9 +269,10 @@ def brute_force_min_leakage(
         raise ValueError(f"step must divide 1 exactly, got {step}")
     size = table.alphabet_size
     count = grid_point_count(total, size)
-    if count > guard:
+    if count > DEFAULT_GRID_GUARD:
         raise ResourceLimitError(
-            f"grid has {count} points for |S|={size} at step {step}, budget {guard}"
+            f"grid has {count} points for |S|={size} at step {step}, "
+            f"budget {DEFAULT_GRID_GUARD}"
         )
     cost_vec = _cost_vector(cost_form, size)
     cost_cap = float(Fraction(d_target) - cost_form.constant) + 1e-9

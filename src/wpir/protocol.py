@@ -41,8 +41,6 @@ _KIND_CODES = {SchemeKind.ZYQT: 1, SchemeKind.ZTSL: 2, SchemeKind.OLR: 3}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 # largest number of (m, s, t) transcripts run by exhaustive verification
 DEFAULT_VERIFY_GUARD = 100_000
-# answer symbols travel as 2-byte residues, so q may not exceed 2^16
-MAX_FIELD_SIZE = 1 << 16
 # server indices travel as one byte
 MAX_SERVERS = 255
 # seconds a TCP peer has to deliver a whole frame
@@ -127,10 +125,7 @@ def decode_answer_frame(data: bytes):
         raise ProtocolError(
             f"answer payload is {len(payload)} bytes, expected {2 + 2 * count}"
         )
-    values = tuple(
-        struct.unpack(">H", payload[2 + 2 * i : 4 + 2 * i])[0]
-        for i in range(count)
-    )
+    values = struct.unpack(f">{count}H", payload[2:])
     return j, values, rest
 
 
@@ -186,7 +181,7 @@ def decode(queries, answers, code, params, m: int, m_files: int) -> FieldMatrix:
     eq, read = np.nonzero(row < lam)
     first_var = (mm[eq, read] * lam + row[eq, read]) * dim
     sender = np.array(servers)[eq]
-    system = np.zeros((len(rhs), m_files * lam * dim), dtype=gen.dtype)
+    system = np.zeros((len(rhs), m_files * lam * dim), dtype=np.int64)
     system[eq[:, None], first_var[:, None] + np.arange(dim)] = gen[:, sender].T
     res = solve_linear(FieldMatrix.from_ints(system, code.field), rhs)
     if not res.is_feasible:
@@ -245,7 +240,6 @@ def run_retrieval(
     s_index: int,
     t: int,
     channels=None,
-    tamper=None,
 ) -> RetrievalTranscript:
     """One full retrieval: query all servers, decode, compare ground truth."""
     if not 0 <= s_index < inst.alphabet.size:
@@ -257,8 +251,6 @@ def run_retrieval(
     for j in range(1, inst.n_servers + 1):
         q = time_shared_query(inst, m, s, t, j)
         reply = channels[j - 1](encode_query_frame(inst.kind, j, q))
-        if tamper is not None:
-            reply = tamper(j, reply)
         jj, values, rest = decode_answer_frame(reply)
         if rest:
             raise ProtocolError("trailing bytes after answer frame")
@@ -318,16 +310,19 @@ def verify_retrievability(
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
-    guard: int = DEFAULT_VERIFY_GUARD,
 ) -> VerificationReport:
-    """Run retrievals over all (or sampled) (m, s, t) and report failures."""
+    """Run retrievals over all (or sampled) (m, s, t) and report failures.
+
+    Exhaustive mode refuses more than DEFAULT_VERIFY_GUARD transcripts
+    (read at call time)."""
     channels = in_process_channels(inst, storage)
     size = inst.alphabet.size
     if mode == "exhaustive":
         total = inst.m_files * size * inst.n_servers
-        if total > guard:
+        if total > DEFAULT_VERIFY_GUARD:
             raise ResourceLimitError(
-                f"exhaustive verification needs {total} transcripts, budget {guard}"
+                f"exhaustive verification needs {total} transcripts, "
+                f"budget {DEFAULT_VERIFY_GUARD}"
             )
         triples = (
             (m, si, t)

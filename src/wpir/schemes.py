@@ -258,6 +258,6 @@ def answer(q: QueryMatrix, column, params: EffectiveParams) -> tuple[int, ...]:
     """
     if (column.rows, column.cols) != (1, q.m_cols * params.n):
         raise ValueError(f"column is {column.rows}x{column.cols}, expected 1x(M*n)")
-    # int64 residues are below 2^31.5, so sums over fewer than 2^31 files are exact
+    # residues are below 2^16, so int64 sums over fewer than 2^47 files are exact
     sums = column.residues[0, answer_positions(q, params)].sum(axis=1)
     return tuple((sums % column.field.q).tolist())

@@ -15,22 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldElement, FieldMatrix, PrimeField
+from .fields import FieldMatrix, PrimeField
 from .mds import MdsCode
 
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Reduced code parameters: n = N/gcd, k = K/gcd, r = lam = n - k."""
+    """Reduced code parameters: n = N/gcd, k = K/gcd, lam = n - k."""
 
     n: int
     k: int
-    r: int
     lam: int
 
     def __post_init__(self):
         assert math.gcd(self.n, self.k) == 1
-        assert self.r == self.lam == self.n - self.k >= 1
+        assert self.lam == self.n - self.k >= 1
 
 
 def effective_params(n_servers: int, dim: int) -> EffectiveParams:
@@ -38,7 +37,7 @@ def effective_params(n_servers: int, dim: int) -> EffectiveParams:
         raise ValueError(f"need N > K >= 1, got N={n_servers}, K={dim}")
     g = math.gcd(n_servers, dim)
     n, k = n_servers // g, dim // g
-    return EffectiveParams(n=n, k=k, r=n - k, lam=n - k)
+    return EffectiveParams(n=n, k=k, lam=n - k)
 
 
 class FileSet:
@@ -121,7 +120,7 @@ class EncodedStorage:
     def m_files(self) -> int:
         return self.file_set.m_files
 
-    def symbol(self, m: int, row: int, j: int) -> FieldElement:
+    def symbol(self, m: int, row: int, j: int) -> int:
         """Stored symbol of file m at row index row in [0:n-1], server j."""
         n = self.params.n
         if not 1 <= m <= self.m_files:
@@ -129,7 +128,7 @@ class EncodedStorage:
         if not 0 <= row < n:
             raise ValueError(f"row {row} outside [0:{n - 1}]")
         blocks = self.columns.residues[j - 1].reshape(self.m_files, n)
-        return FieldElement(int(blocks[m - 1, row]), self.code.field)
+        return int(blocks[m - 1, row])
 
 
 def encode_storage(file_set: FileSet, code: MdsCode) -> EncodedStorage:

@@ -262,3 +262,36 @@ def test_server_count_above_one_byte_rejected(n, capsys):
     err = capsys.readouterr().err
     assert "server indices travel as one byte" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_nonpositive_samples_rejected_before_work(command, samples, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr("wpir.cli.make_scheme", lambda *a: built.append(a))
+    code, out = run_cli(
+        [command, "--scheme", "ztsl", "--files", "2", "--servers", "3", "--dim", "2",
+         "--samples", samples]
+    )
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert f"--samples needs at least 1, got {samples}" in err
+    assert "Traceback" not in err
+    assert built == []
+
+
+def test_table_server_out_of_range_rejected_before_alphabet(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("make_scheme must not run for a bad --server")
+
+    monkeypatch.setattr("wpir.cli.make_scheme", refuse)
+    for server in ("0", "4"):
+        code, out = run_cli(["table", "--scheme", "ztsl", "--servers", "3", "--dim", "2",
+                             "--server", server])
+        assert (code, out) == (2, "")
+        assert f"server {server} outside [1:3]" in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    for name in wpir.__all__:
+        getattr(wpir, name)  # raises AttributeError for a stale name

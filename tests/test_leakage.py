@@ -218,22 +218,24 @@ def test_cost_never_below_lam_k():
             assert form.evaluate(z) >= inst.params.lam * inst.dim
 
 
-def test_resource_guard_counts():
+def test_resource_guard_counts(monkeypatch):
     inst = make_scheme(SchemeKind.ZTSL, 2, 3, 2)
+    monkeypatch.setattr("wpir.leakage.DEFAULT_TABLE_GUARD", 5)
     with pytest.raises(ResourceLimitError):
-        build_query_table(inst, 1, guard=5)
+        build_query_table(inst, 1)
 
 
 def test_all_tables_budget_counts_every_server(monkeypatch):
     """zyqt (2,3,2): one table is 36*3*2 = 216 steps, all three are 648."""
     inst = make_scheme(SchemeKind.ZYQT, 2, 3, 2)
-    assert build_query_table(inst, 2, guard=300).alphabet_size == 36
+    monkeypatch.setattr("wpir.leakage.DEFAULT_TABLE_GUARD", 300)
+    assert build_query_table(inst, 2).alphabet_size == 36
     calls = []
     monkeypatch.setattr(
         "wpir.leakage.time_shared_query", lambda *args: calls.append(args)
     )
     with pytest.raises(ResourceLimitError, match="needs 648 = 3[*][|]S[|][*]N[*]M steps"):
-        build_all_tables(inst, guard=300)
+        build_all_tables(inst)
     assert calls == []  # refused before enumerating anything
 
 

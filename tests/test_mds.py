@@ -40,16 +40,16 @@ def test_repeated_column_is_not_mds():
 
 def test_encode_zero_and_units():
     code = make_rs_code(4, 2, GF5)
-    z = [GF5(0), GF5(0)]
-    assert all(e.value == 0 for e in encode_row(code, z))
+    z = [0, 0]
+    assert all(e == 0 for e in encode_row(code, z))
     for i in range(2):
-        e_i = [GF5(1 if t == i else 0) for t in range(2)]
-        assert encode_row(code, e_i) == code.generator.row(i)
+        e_i = [1 if t == i else 0 for t in range(2)]
+        assert list(encode_row(code, e_i)) == code.generator.to_ints()[i]
 
 
 def test_systematic_prefix():
     code = make_rs_code(5, 3, GF5)
-    w = [GF5(2), GF5(0), GF5(4)]
+    w = [2, 0, 4]
     cw = encode_row(code, w)
     assert list(cw[:3]) == w
 
@@ -57,7 +57,7 @@ def test_systematic_prefix():
 def test_encode_length_mismatch():
     code = make_rs_code(3, 2, GF3)
     with pytest.raises(ValueError):
-        encode_row(code, [GF3(1)])
+        encode_row(code, [1])
 
 
 def test_erasure_decode_oracle():
@@ -67,7 +67,7 @@ def test_erasure_decode_oracle():
         fld = PrimeField(q)
         code = make_rs_code(n_total, dim, fld)
         for _ in range(10):
-            w = [fld(rng.randrange(q)) for _ in range(dim)]
+            w = [rng.randrange(q) for _ in range(dim)]
             cw = encode_row(code, w)
             positions = rng.sample(range(n_total), dim)
             got = decode_from(code, positions, [cw[p] for p in positions])
@@ -78,14 +78,14 @@ def test_linearity():
     rng = random.Random(78)
     code = make_rs_code(5, 3, GF5)
     for _ in range(10):
-        w1 = [GF5(rng.randrange(5)) for _ in range(3)]
-        w2 = [GF5(rng.randrange(5)) for _ in range(3)]
-        lhs = encode_row(code, [a + b for a, b in zip(w1, w2)])
-        rhs = tuple(a + b for a, b in zip(encode_row(code, w1), encode_row(code, w2)))
+        w1 = [rng.randrange(5) for _ in range(3)]
+        w2 = [rng.randrange(5) for _ in range(3)]
+        lhs = encode_row(code, [(a + b) % 5 for a, b in zip(w1, w2)])
+        rhs = tuple((a + b) % 5 for a, b in zip(encode_row(code, w1), encode_row(code, w2)))
         assert lhs == rhs
 
 
 def test_decode_needs_exactly_k():
     code = make_rs_code(3, 2, GF3)
     with pytest.raises(ValueError):
-        decode_from(code, [0], [GF3(1)])
+        decode_from(code, [0], [1])

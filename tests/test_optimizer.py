@@ -207,10 +207,11 @@ def test_brute_force_single_strategy():
     assert z == (F(1),) and bits == 0.0
 
 
-def test_brute_force_guards():
+def test_brute_force_guards(monkeypatch):
     inst, tables, cost = setup_scheme(SchemeKind.OLR)
-    with pytest.raises(ResourceLimitError):
-        brute_force_min_leakage(tables[0], cost, 4, step=F(1, 50), guard=10)
+    with monkeypatch.context() as patched, pytest.raises(ResourceLimitError):
+        patched.setattr("wpir.optimizer.DEFAULT_GRID_GUARD", 10)
+        brute_force_min_leakage(tables[0], cost, 4, step=F(1, 50))
     with pytest.raises(ValueError):
         brute_force_min_leakage(tables[0], cost, 4, step=F(3, 100))
     with pytest.raises(ValueError):

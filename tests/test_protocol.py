@@ -161,6 +161,14 @@ def test_downloads_match_table_lengths():
                 assert tr.downloaded == expect
 
 
+def tampered(channels, tamper):
+    """Channels whose replies pass through tamper(j, reply) on the way back."""
+    return [
+        lambda frame, j=j, send=send: tamper(j, send(frame))
+        for j, send in enumerate(channels, start=1)
+    ]
+
+
 def test_tampered_symbol_detected():
     inst, storage = build(SchemeKind.OLR, n_servers=5, dim=3, q=5, seed=41)
 
@@ -173,15 +181,17 @@ def test_tampered_symbol_detected():
 
     clean = run_retrieval(inst, storage, 1, 0, 1)
     assert clean.success
-    tampered = run_retrieval(inst, storage, 1, 0, 1, tamper=tamper)
-    assert not tampered.success
-    assert tampered.reason
+    channels = tampered(in_process_channels(inst, storage), tamper)
+    tampered_tr = run_retrieval(inst, storage, 1, 0, 1, channels=channels)
+    assert not tampered_tr.success
+    assert tampered_tr.reason
 
 
 def test_truncating_tamper_raises_protocol_error():
     inst, storage = build(SchemeKind.ZTSL, seed=43)
+    channels = tampered(in_process_channels(inst, storage), lambda j, r: r[:-1])
     with pytest.raises(ProtocolError):
-        run_retrieval(inst, storage, 1, 0, 1, tamper=lambda j, r: r[:-1])
+        run_retrieval(inst, storage, 1, 0, 1, channels=channels)
 
 
 def test_decode_reports_underdetermined():
@@ -213,10 +223,11 @@ def test_verify_sampled_reproducible():
         verify_retrievability(inst, storage, mode="bogus")
 
 
-def test_verify_guard():
+def test_verify_guard(monkeypatch):
     inst, storage = build(SchemeKind.ZYQT, seed=59)
+    monkeypatch.setattr("wpir.protocol.DEFAULT_VERIFY_GUARD", 10)
     with pytest.raises(ResourceLimitError):
-        verify_retrievability(inst, storage, mode="exhaustive", guard=10)
+        verify_retrievability(inst, storage, mode="exhaustive")
 
 
 def test_simulate_downloads_counts():
@@ -343,7 +354,7 @@ def _wire_digest(per_instance=60):
             m = rng.randrange(1, m_files + 1)
             si = rng.randrange(inst.alphabet.size)
             t = rng.randrange(1, n_servers + 1)
-            tamper = None
+            used = channels
             if i % 4 == 3:
                 bad = rng.randrange(1, n_servers + 1)
 
@@ -352,7 +363,8 @@ def _wire_digest(per_instance=60):
                     if j != bad or not values:
                         return reply
                     return encode_answer_frame(jj, ((values[0] + 1) % fld.q,) + values[1:])
-            tr = run_retrieval(inst, storage, m, si, t, channels=channels, tamper=tamper)
+                used = tampered(channels, tamper)
+            tr = run_retrieval(inst, storage, m, si, t, channels=used)
             h.update(tr.to_json_line().encode())
             h.update(b"\n")
             if i % 4 == 1:

@@ -1,10 +1,10 @@
-"""Residue-array storage, answers and decode systems against the boxed
-`FieldElement` implementations they replaced.
+"""Residue-array storage, answers and decode systems against scalar
+element-by-element implementations.
 
-The `_reference_*` functions are the earlier element-by-element code,
+The `_reference_*` functions are per-entry Python loops on int residues,
 kept here as oracles: the stacked columns, the server's answer sums and
-the decoder's linear system must come out identical, on int64 fields and
-on q = 2^61 - 1, whose residues are Python ints in object arrays.
+the decoder's linear system must come out identical, on small fields and
+on q = 65521, the largest prime whose residues fit the 2-byte wire.
 """
 from functools import lru_cache
 from unittest import mock
@@ -14,16 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpir import protocol
-from wpir.fields import FieldElement, PrimeField
+from wpir.fields import PrimeField
 from wpir.mds import make_rs_code
-from wpir.protocol import DecodeFailure, ServerNode, decode, encode_query_frame
+from wpir.protocol import DecodeFailure, decode
 from wpir.schemes import QueryMatrix, SchemeKind, answer, make_scheme, time_shared_query
 from wpir.storage import FileSet, effective_params, encode_storage, server_column
 
-BIG_Q = 2**61 - 1
+BIG_Q = 65521
 
 # (M, N, K, q): the benchmark's ztsl (8,7,4), olr (3,5,3), zyqt (2,4,2) and
-# (3,4,2), and two instances on the object-dtype field
+# (3,4,2), and two instances on the largest field the wire carries
 STORAGE_INSTANCES = (
     (8, 7, 4, 7),
     (3, 5, 3, 5),
@@ -46,26 +46,29 @@ SCHEME_INSTANCES = (
 
 
 def _reference_encode_row(code, w):
-    zero = code.field.zero()
-    g = code.generator
-    return tuple(
-        sum((w[i] * g[i, j] for i in range(code.dim)), zero)
-        for j in range(code.n_total)
-    )
+    """Codeword w @ G, one multiply-add mod q per entry."""
+    q = code.field.q
+    g = code.generator.to_ints()
+    out = []
+    for j in range(code.n_total):
+        total = 0
+        for i in range(code.dim):
+            total = (total + w[i] * g[i][j]) % q
+        out.append(total)
+    return tuple(out)
 
 
 def _reference_columns(file_set, code):
-    """Per-server stacked columns as tuples of FieldElements."""
+    """Per-server stacked columns as tuples of residues."""
     params = effective_params(code.n_total, code.dim)
     lam, k = params.lam, params.k
-    zero = code.field.zero()
     encoded = [
-        [_reference_encode_row(code, f.row(i)) for i in range(lam)]
+        [_reference_encode_row(code, f.to_ints()[i]) for i in range(lam)]
         for f in file_set.files
     ]
     return tuple(
         tuple(
-            encoded[m][i][j] if i < lam else zero
+            encoded[m][i][j] if i < lam else 0
             for m in range(file_set.m_files)
             for i in range(lam + k)
         )
@@ -73,17 +76,16 @@ def _reference_columns(file_set, code):
     )
 
 
-def _reference_answer(q, column, params):
-    """Sum of boxed symbols per transmitted row of a boxed column."""
+def _reference_answer(query, column, params, q):
+    """Sum mod q of the symbols per transmitted row of a residue column."""
     n = params.n
-    zero_like = column[0] - column[0]
     out = []
-    for i, row in enumerate(q.rows):
+    for i, row in enumerate(query.rows):
         if min(row) >= params.lam:
             continue
-        total = zero_like
-        for m in range(1, q.m_cols + 1):
-            total = total + column[(m - 1) * n + q.entry(i, m)]
+        total = 0
+        for m in range(1, query.m_cols + 1):
+            total = (total + column[(m - 1) * n + query.entry(i, m)]) % q
         out.append(total)
     return tuple(out)
 
@@ -97,7 +99,7 @@ def _reference_decode_system(queries, code, params, m_files):
         return ((mm - 1) * lam + i) * dim + c
 
     kept = [[i for i, row in enumerate(q.rows) if min(row) < lam] for q in queries]
-    system = np.zeros((sum(map(len, kept)), m_files * lam * dim), dtype=gen.dtype)
+    system = np.zeros((sum(map(len, kept)), m_files * lam * dim), dtype=np.int64)
     eq = 0
     for j, (q, rows) in enumerate(zip(queries, kept), start=1):
         col = gen[:, j - 1]
@@ -179,7 +181,7 @@ def test_storage_matches_boxed_columns(inst, m_cut, seed):
     assert storage.columns.residues.shape == (n_servers, m_files * n)
     assert not storage.columns.residues.flags.writeable
     for j in range(1, n_servers + 1):
-        assert server_column(storage, j).to_ints() == [[e.value for e in ref[j - 1]]]
+        assert server_column(storage, j).to_ints() == [list(ref[j - 1])]
         for m in range(1, m_files + 1):
             for row in range(n):
                 assert storage.symbol(m, row, j) == ref[j - 1][(m - 1) * n + row]
@@ -196,7 +198,7 @@ def test_answer_matches_boxed_sum(inst, seed, data):
         query = _random_query(data.draw, storage.params, m_files)
         got = answer(query, server_column(storage, j), storage.params)
         assert all(type(v) is int for v in got)
-        assert got == tuple(e.value for e in _reference_answer(query, ref[j - 1], storage.params))
+        assert got == _reference_answer(query, ref[j - 1], storage.params, q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,7 +228,7 @@ def test_scheme_retrievals_match_references(inst, seed, data):
     queries = [time_shared_query(scheme, m, s, t, j) for j in range(1, n_servers + 1)]
     for j, query in enumerate(queries, start=1):
         got = answer(query, server_column(storage, j), storage.params)
-        assert got == tuple(e.value for e in _reference_answer(query, ref[j - 1], storage.params))
+        assert got == _reference_answer(query, ref[j - 1], storage.params, q)
     _check_decode_system(queries, storage, m, m_files)
 
 
@@ -240,31 +242,3 @@ def test_queries_with_no_transmitted_rows():
     # one talking server among silent ones still yields its equations
     talking = QueryMatrix(((0, 2), (1, 0)))
     _check_decode_system([silent, talking, silent], storage, 2, 2)
-
-
-def test_no_field_elements_built_to_encode_or_answer(monkeypatch):
-    inst = _scheme(SchemeKind.OLR, 3, 5, 3)
-    code = _code(5, 3, 5)
-    files = FileSet.random(3, inst.params.lam, 3, code.field, seed=3)
-    built = []
-    init = FieldElement.__init__
-
-    def counting_init(self, value, fld):
-        built.append(value)
-        init(self, value, fld)
-
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
-    storage = encode_storage(files, code)
-    nodes = [ServerNode(inst, storage, j) for j in range(1, 6)]
-    frames = [
-        encode_query_frame(inst.kind, j, time_shared_query(inst, m, s, t, j))
-        for m in (1, 3) for s in inst.alphabet.members[:20] for t in (1, 4)
-        for j in range(1, 6)
-    ]
-    assert built == []
-    replies = [nodes[frame[6] - 1].handle(frame) for frame in frames]
-    assert built == []
-    # the counter does see boxing where it still happens
-    storage.symbol(1, 0, 1)
-    assert len(built) == 1
-    assert any(len(r) > 6 for r in replies)
