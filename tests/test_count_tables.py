@@ -6,6 +6,7 @@ cost form, LP assembly and leakage that the count tables replaced; the
 tests require the count path to reproduce them exactly, bit for bit where
 floats are involved.
 """
+import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from functools import lru_cache
@@ -24,6 +25,7 @@ from wpir.leakage import (
     maxl,
     normalize_pmf,
     shared_table,
+    table_to_csv,
     uniform_pmf,
 )
 from wpir.optimizer import _with_leakage_cap, reformulate
@@ -229,3 +231,19 @@ def test_mismatched_count_tables_rejected():
             download_cost_form((table, other))
     # tables sharing one count array skip the entry-by-entry compare
     assert shared_table((table, replace(table, server=2))) is table
+
+
+# SHA-256 of the concatenated table CSVs below: pins query construction,
+# row order, counts and answer lengths independently of how they are built
+TABLES_SHA256 = "5b0623415a4c0be47f26689756afd562e3b4500eecd20c28318c8cd22db1b85b"
+
+
+def test_table_csvs_pinned():
+    cases = [(SchemeKind.ZYQT, 3, 3, 2, 2), (SchemeKind.OLR, 3, 5, 3, 1),
+             (SchemeKind.ZTSL, 4, 3, 2, 3), (SchemeKind.ZYQT, 2, 4, 2, 2),
+             (SchemeKind.OLR, 4, 3, 2, 3)]
+    text = "".join(
+        table_to_csv(build_query_table(make_scheme(kind, m, n, d), j))
+        for kind, m, n, d, j in cases
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_SHA256
