@@ -8,6 +8,7 @@ byte for byte from their own headers.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .mds import MdsCode, make_rs_code
 from .optimizer import default_grid, solve_tradeoff_point
 from .protocol import MAX_SERVERS, simulate_downloads, verify_retrievability
 from .schemes import SchemeKind, make_scheme
-from .storage import FileSet, encode_storage
+from .storage import FileSet, effective_params, encode_storage
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -87,6 +88,16 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse, before any work, an output path that is a directory or
+    whose directory does not exist."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"directory {parent!r} of {path!r} does not exist")
+
+
 _CONFIG_KEYS = {"scheme", "files", "servers", "dim", "field", "grid", "seed", "out"}
 
 
@@ -129,6 +140,11 @@ def resolve_config(args: argparse.Namespace) -> InstanceConfig:
             f"server count {n_servers} exceeds {MAX_SERVERS}: "
             "server indices travel as one byte"
         )
+    if scheme is SchemeKind.OLR and m_files == 1 and effective_params(n_servers, dim).k > 1:
+        raise ConfigError(
+            "olr with one file needs effective k = 1: its implied column "
+            "repeats one entry, so the strategy alphabet is empty"
+        )
     field_q = pick(args.field, "field", int, smallest_prime_at_least(n_servers))
     if field_q > MAX_FIELD_SIZE:
         raise ConfigError(
@@ -143,6 +159,8 @@ def resolve_config(args: argparse.Namespace) -> InstanceConfig:
         raise ConfigError(f"sweep grid needs at least 2 points, got {grid}")
     seed = pick(args.seed, "seed", int, 0)
     out = pick(args.out, "out", str)
+    if out:
+        _check_out_path(out)
     return InstanceConfig(
         scheme=scheme,
         m_files=m_files,
@@ -217,6 +235,10 @@ plt.savefig({png!r}, dpi=160)
 
 
 def cmd_tradeoff(cfg: InstanceConfig, args, stdout) -> int:
+    if args.plot_script:
+        if not cfg.out:
+            raise ConfigError("--plot-script needs --out so the script has data to read")
+        _check_out_path(args.plot_script)
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
     # time sharing gives every server the same table (wpir verify checks it)
     tables = (build_query_table(inst, 1),)
@@ -240,8 +262,6 @@ def cmd_tradeoff(cfg: InstanceConfig, args, stdout) -> int:
         )
     _emit(cfg, "\n".join(lines) + "\n", stdout)
     if args.plot_script:
-        if not cfg.out:
-            raise ConfigError("--plot-script needs --out so the script has data to read")
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(
                 _PLOT_SCRIPT.format(csv=cfg.out, png=cfg.out + ".png")
@@ -318,6 +338,7 @@ def cmd_verify(cfg: InstanceConfig, args, stdout) -> int:
 def cmd_simulate(cfg: InstanceConfig, args, stdout) -> int:
     _check_samples(args)
     inst = make_scheme(cfg.scheme, cfg.m_files, cfg.n_servers, cfg.dim)
+    check_table_budget(inst, 1)
     z = uniform_pmf(inst.alphabet.size)
     stats = simulate_downloads(inst, z, count=args.samples or 10000, seed=cfg.seed)
     table = build_query_table(inst, 1)

@@ -4,13 +4,14 @@ Under time sharing every conditional query probability is an integer
 count over N: P(q|m) at strategy s is the number of shifts t that send
 (m, s) to q, divided by N.  A server's table stores those counts as one
 sparse integer matrix, and every server's table is the same, so the
-analysis builds server 1's alone.  The cost form, the LP rows and the
-exact leakage are all assembled from the counts; `Fraction` appears only
-in the exact re-check and in the linear-form views that the table CSV
-prints.  Floats appear only when taking the final log.  Leakage is log2
-of the sum, over reachable queries, of the largest per-file conditional
-probability: 0 bits means the query says nothing about which file is
-wanted, log2 M means it says everything.
+analysis builds server 1's alone, in one pass: one `np.unique` over the
+bytes of every (m, s, t) query numbers the queries.  The cost form, the
+LP rows and the exact leakage are all assembled from the counts;
+`Fraction` appears only in the exact re-check and in the linear-form
+views that the table CSV prints.  Floats appear only when taking the
+final log.  Leakage is log2 of the sum, over reachable queries, of the
+largest per-file conditional probability: 0 bits means the query says
+nothing about which file is wanted, log2 M means it says everything.
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from .schemes import (
     QueryMatrix,
     SchemeInstance,
     answer_length,
-    time_shared_query,
+    cyclic_shift,
+    query_rows,
+    strategy_array,
 )
 
 # largest |S| * N * M enumerated when tabulating a scheme
@@ -155,41 +158,35 @@ def check_table_budget(inst: SchemeInstance, n_tables: int) -> None:
 
 
 def build_query_table(inst: SchemeInstance, j: int) -> ConditionalQueryTable:
-    """Tabulate P(q|m) at server j by enumerating (m, s, t) triples.
+    """Tabulate P(q|m) at server j from every (m, s, t) query at once.
 
     Each strategy s and uniform shift t add one to the count of the
-    realized time-shared query.  See check_table_budget for the budget.
+    realized time-shared query.  A query is a key of k*M one-byte entries,
+    so one np.unique numbers them in the order of their rows.  See
+    check_table_budget for the budget.
     """
     check_table_budget(inst, 1)
-    size = inst.alphabet.size
-    first_seen: dict[QueryMatrix, int] = {}
-    hit_query, hit_file, hit_strategy = [], [], []
-    for m in range(inst.m_files):
-        for sidx, s in enumerate(inst.alphabet.members):
-            for t in range(1, inst.n_servers + 1):
-                q = time_shared_query(inst, m + 1, s, t, j)
-                hit_query.append(first_seen.setdefault(q, len(first_seen)))
-                hit_file.append(m)
-                hit_strategy.append(sidx)
-    queries = tuple(sorted(first_seen, key=lambda q: q.rows))
-    # renumber queries from first-seen order to sorted order
-    rank = np.empty(len(queries), dtype=np.int64)
-    rank[[first_seen[q] for q in queries]] = np.arange(len(queries))
-    rows = rank[hit_query] * inst.m_files + np.asarray(hit_file, dtype=np.int64)
-    counts = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.int64), (rows, hit_strategy)),
-        shape=(len(queries) * inst.m_files, size),
-    )
-    return ConditionalQueryTable(
-        server=j,
-        m_files=inst.m_files,
-        n_servers=inst.n_servers,
-        queries=queries,
-        counts=counts,
-        answer_lengths=np.array(
-            [answer_length(q, inst.params) for q in queries], dtype=np.int64
-        ),
-    )
+    if inst.params.n > 256:
+        raise ValueError(f"query entries below n={inst.params.n} do not fit one byte")
+    strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
+    size, width = len(strategies), inst.params.k * m_files
+    hits = np.stack([
+        query_rows(inst, m, strategies, cyclic_shift(j, t - 1, n)).astype(np.uint8)
+        for m in range(1, m_files + 1) for t in range(1, n + 1)
+    ])  # (m, t) x s x k x M
+    keys, inverse = np.unique(hits.reshape(-1, width).view(f"V{width}"), return_inverse=True)
+    del hits
+    rows = inverse.ravel() * m_files + np.repeat(np.arange(m_files), n * size)
+    cols = np.tile(np.arange(size), m_files * n)
+    counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
+                               shape=(len(keys) * m_files, size))
+    del inverse, rows, cols  # freed before the query objects, which set the peak RSS
+    data = keys.tobytes()
+    queries = tuple(QueryMatrix.from_bytes(data[i:i + width], m_files)
+                    for i in range(0, len(data), width))
+    lengths = [answer_length(q, inst.params) for q in queries]
+    return ConditionalQueryTable(server=j, m_files=m_files, n_servers=n, queries=queries,
+                                 counts=counts, answer_lengths=np.array(lengths, dtype=np.int64))
 
 
 def build_all_tables(inst: SchemeInstance) -> tuple[ConditionalQueryTable, ...]:

@@ -99,11 +99,7 @@ def decode_query_frame(data: bytes, k: int, m_files: int):
         raise ProtocolError(f"unsupported protocol version {version}")
     if kind_code not in _CODE_KINDS:
         raise ProtocolError(f"unknown scheme code {kind_code}")
-    entries = payload[3:]
-    rows = tuple(
-        tuple(entries[i * m_files : (i + 1) * m_files]) for i in range(k)
-    )
-    return _CODE_KINDS[kind_code], j, QueryMatrix(rows), rest
+    return _CODE_KINDS[kind_code], j, QueryMatrix.from_bytes(payload[3:], m_files), rest
 
 
 def encode_answer_frame(j: int, values) -> bytes:

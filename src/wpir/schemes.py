@@ -1,8 +1,11 @@
 """Strategy alphabets, query encoders, answers, and time sharing.
 
 A strategy drawn from the scheme's alphabet is expanded into one k x M
-query matrix per server; each server returns one sub-response per query
-row, suppressing rows that touch only dummy storage.  `answer_positions`
+query matrix per server.  `query_rows` is the one definition of those
+matrices: an integer array over many strategies at once, which the
+table builder applies to the whole alphabet and `base_query` to one
+strategy.  Each server returns one sub-response per query row,
+suppressing rows that touch only dummy storage.  `answer_positions`
 is the one definition of which stored symbols a query reads: the server
 sums them and the decoder writes its equations from them.  Time sharing
 rotates the per-server encoders by a uniform cyclic shift, which makes
@@ -45,9 +48,6 @@ class PermSelector:
     def __iter__(self):
         return iter(self.entries)
 
-    def shifted(self, d: int, n: int) -> "PermSelector":
-        return PermSelector(tuple((e + d) % n for e in self.entries))
-
 
 def enumerate_pnk(n: int, k: int) -> tuple[PermSelector, ...]:
     """All n!/(n-k)! ordered k-selections from [0:n-1], lexicographic."""
@@ -88,18 +88,16 @@ def enumerate_strategies(kind: SchemeKind, n: int, k: int, m_files: int) -> Stra
         members = tuple(
             tup
             for tup in product(selectors, repeat=m_files - 1)
-            if _olr_implied_column(tup, n, k, shift=0) is not None
+            if _olr_implied_column(tup, n, k) is not None
         )
     else:  # pragma: no cover - SchemeKind() above rejects unknown kinds
         raise ValueError(f"unknown scheme kind {kind!r}")
     return StrategyAlphabet(kind=kind, n=n, k=k, m_files=m_files, members=members)
 
 
-def _olr_implied_column(selectors, n: int, k: int, shift: int):
-    """((shift)*1 - sum of selectors) mod n, or None if entries collide."""
-    entries = tuple(
-        (shift - sum(sel[i] for sel in selectors)) % n for i in range(k)
-    )
+def _olr_implied_column(selectors, n: int, k: int):
+    """(-sum of selectors) mod n, or None if entries collide."""
+    entries = tuple(-sum(sel[i] for sel in selectors) % n for i in range(k))
     if len(set(entries)) != len(entries):
         return None
     return entries
@@ -130,10 +128,10 @@ class QueryMatrix:
     def column(self, m: int) -> tuple[int, ...]:
         return tuple(r[m - 1] for r in self.rows)
 
-
-def _from_columns(cols) -> QueryMatrix:
-    k = len(cols[0])
-    return QueryMatrix(tuple(tuple(c[i] for c in cols) for i in range(k)))
+    @classmethod
+    def from_bytes(cls, data: bytes, m_files: int) -> "QueryMatrix":
+        """Parse k*M one-byte entries, row-major: the wire and table-key layout."""
+        return cls(tuple(zip(*[iter(data)] * m_files)))
 
 
 @dataclass(frozen=True)
@@ -169,50 +167,39 @@ def _check_indices(inst: SchemeInstance, m: int, j: int):
         raise ValueError(f"server index {j} outside [1:{inst.n_servers}]")
 
 
-def query_zyqt(inst: SchemeInstance, m: int, s, j: int) -> QueryMatrix:
-    """Desired column shifted by j-1 (mod n); other columns verbatim."""
-    _check_indices(inst, m, j)
-    n = inst.params.n
-    cols = [
-        tuple(sel.shifted(j - 1, n)) if mm == m else tuple(sel)
-        for mm, sel in enumerate(s, start=1)
-    ]
-    return _from_columns(cols)
+def strategy_array(inst: SchemeInstance, members=None) -> np.ndarray:
+    """Members (default: the alphabet) as int rows: (|S|, M) for ztsl,
+    (|S|, M, k) for zyqt and (|S|, M-1, k) for olr, whose M = 1 has none."""
+    members = inst.alphabet.members if members is None else members
+    if inst.kind is SchemeKind.ZTSL:
+        return np.array(members, dtype=np.int64).reshape(len(members), inst.m_files)
+    n_sel = inst.m_files - (inst.kind is SchemeKind.OLR)
+    rows = [[tuple(sel) for sel in s] for s in members]
+    return np.array(rows, dtype=np.int64).reshape(len(members), n_sel, inst.params.k)
 
 
-def query_ztsl(inst: SchemeInstance, m: int, s, j: int) -> QueryMatrix:
-    """Row i = (s + (j-1) e_m + i) mod n: a k-step staircase on the base row."""
-    _check_indices(inst, m, j)
+def query_rows(inst: SchemeInstance, m: int, strategies: np.ndarray, j: int) -> np.ndarray:
+    """Server j's base queries for file m: |S| x k x M, one per strategy row.
+
+    zyqt adds j-1 (mod n) to the desired selector; ztsl is a k-step
+    staircase on the base row s + (j-1) e_m; olr inserts the implied
+    column ((j-1)*1 - sum of the selectors) mod n at position m.
+    """
     n, k = inst.params.n, inst.params.k
-    base = tuple(
-        (v + (j - 1 if mm == m else 0)) % n for mm, v in enumerate(s, start=1)
-    )
-    return QueryMatrix(
-        tuple(tuple((v + i) % n for v in base) for i in range(k))
-    )
-
-
-def query_olr(inst: SchemeInstance, m: int, s, j: int) -> QueryMatrix:
-    """Position m holds ((j-1)*1 - sum of the strategy columns) mod n."""
-    _check_indices(inst, m, j)
-    n, k = inst.params.n, inst.params.k
-    implied = _olr_implied_column(s, n, k, shift=j - 1)
-    if implied is None:  # pragma: no cover - alphabet membership prevents this
-        raise ValueError("strategy has a colliding implied column")
-    cols = [tuple(sel) for sel in s]
-    cols.insert(m - 1, implied)
-    return _from_columns(cols)
-
-
-_QUERY_FNS = {
-    SchemeKind.ZYQT: query_zyqt,
-    SchemeKind.ZTSL: query_ztsl,
-    SchemeKind.OLR: query_olr,
-}
+    if inst.kind is SchemeKind.OLR:
+        implied = j - 1 - strategies.sum(axis=1)
+        return np.insert(strategies, m - 1, implied, axis=1).transpose(0, 2, 1) % n
+    cols = strategies.copy()
+    cols[:, m - 1] += j - 1
+    if inst.kind is SchemeKind.ZTSL:
+        return (cols[:, None, :] + np.arange(k)[:, None]) % n
+    return cols.transpose(0, 2, 1) % n
 
 
 def base_query(inst: SchemeInstance, m: int, s, j: int) -> QueryMatrix:
-    return _QUERY_FNS[inst.kind](inst, m, s, j)
+    _check_indices(inst, m, j)
+    rows = query_rows(inst, m, strategy_array(inst, [s]), j)[0]
+    return QueryMatrix(tuple(map(tuple, rows.tolist())))
 
 
 def cyclic_shift(j: int, l: int, n_servers: int) -> int:

@@ -163,6 +163,64 @@ def test_plot_script_requires_out(tmp_path):
     assert not script.exists()
 
 
+def _record_calls(monkeypatch, names=("make_scheme", "simulate_downloads")):
+    calls = []
+    for name in names:
+        monkeypatch.setattr(f"wpir.cli.{name}",
+                            lambda *a, _name=name, **k: calls.append(_name))
+    return calls
+
+
+@pytest.mark.parametrize("extra", [
+    ["--plot-script", "plot.py"],
+    ["--out", "missing/curve.csv"],
+    ["--out", "curve.csv", "--plot-script", "missing/plot.py"],
+    ["--out", "."],
+    ["--out", "curve.csv", "--plot-script", "."],
+], ids=["plot-without-out", "out-dir-missing", "plot-dir-missing", "out-is-dir",
+        "plot-is-dir"])
+def test_tradeoff_output_paths_checked_before_work(extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = _record_calls(monkeypatch)
+    code, out = run_cli(["tradeoff", "--scheme", "ztsl", "--files", "2", "--servers", "3",
+                         "--dim", "2", "--grid", "3", *extra])
+    assert (code, out, calls) == (2, "", [])
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["enumerate", "table", "verify", "simulate"])
+@pytest.mark.parametrize("bad", ["missing/x.txt", ""])
+def test_unwritable_out_rejected_before_work(command, bad, tmp_path, monkeypatch):
+    calls = _record_calls(monkeypatch)
+    code, out = run_cli([command, "--scheme", "ztsl", "--files", "2", "--servers", "3",
+                         "--dim", "2", "--out", str(tmp_path / bad)])
+    assert (code, out, calls) == (2, "", [])
+
+
+def test_simulate_budgets_table_before_sampling(monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, ("simulate_downloads",))
+    monkeypatch.setattr("wpir.leakage.DEFAULT_TABLE_GUARD", 10)
+    code, out = run_cli(["simulate", "--scheme", "ztsl", "--files", "2", "--servers", "3",
+                         "--dim", "2", "--samples", "5"])
+    assert (code, out, calls) == (2, "", [])
+    assert "table enumeration needs 18" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "table", "tradeoff", "verify", "simulate"])
+def test_olr_single_file_needs_effective_k_one(command, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch)
+    code, out = run_cli([command, "--scheme", "olr", "--files", "1", "--servers", "3",
+                         "--dim", "2"])
+    assert (code, out, calls) == (2, "", [])
+    assert "strategy alphabet is empty" in capsys.readouterr().err
+    # effective k = 1 (N=4, K=2 reduces to n=2, k=1) keeps a one-member alphabet
+    monkeypatch.undo()
+    code, out = run_cli(["enumerate", "--scheme", "olr", "--files", "1", "--servers", "4",
+                         "--dim", "2"])
+    assert code == 0 and "cardinality=1" in out
+
+
 def test_plot_script_emission(tmp_path):
     csv_path, script = tmp_path / "curve.csv", tmp_path / "plot.py"
     code, _ = run_cli(

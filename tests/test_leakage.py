@@ -232,11 +232,19 @@ def test_all_tables_budget_counts_every_server(monkeypatch):
     assert build_query_table(inst, 2).alphabet_size == 36
     calls = []
     monkeypatch.setattr(
-        "wpir.leakage.time_shared_query", lambda *args: calls.append(args)
+        "wpir.leakage.query_rows", lambda *args: calls.append(args)
     )
     with pytest.raises(ResourceLimitError, match="needs 648 = 3[*][|]S[|][*]N[*]M steps"):
         build_all_tables(inst)
     assert calls == []  # refused before enumerating anything
+
+
+def test_table_refuses_entries_above_one_byte():
+    """Table keys hold one byte per entry: n = 256 fits, n = 257 does not."""
+    assert build_query_table(make_scheme(SchemeKind.ZTSL, 1, 256, 1), 1).queries[-1] == \
+        QueryMatrix(((255,),))
+    with pytest.raises(ValueError, match="do not fit one byte"):
+        build_query_table(make_scheme(SchemeKind.ZTSL, 1, 257, 1), 1)
 
 
 def test_linear_form_helpers():

@@ -16,9 +16,8 @@ from wpir.schemes import (
     enumerate_pnk,
     enumerate_strategies,
     make_scheme,
-    query_olr,
-    query_zyqt,
-    query_ztsl,
+    query_rows,
+    strategy_array,
     time_shared_query,
     transmitted_rows,
     ztsl_size,
@@ -96,14 +95,14 @@ def test_make_scheme_uses_effective_params():
 def test_query_zyqt_zero_shift_is_verbatim():
     inst = make_scheme(SchemeKind.ZYQT, 2, 3, 2)
     s = (sel(0, 1), sel(0, 2))
-    q = query_zyqt(inst, 1, s, 1)
+    q = base_query(inst, 1, s, 1)
     assert q.column(1) == (0, 1) and q.column(2) == (0, 2)
 
 
 def test_query_zyqt_shifted_column():
     inst = make_scheme(SchemeKind.ZYQT, 2, 3, 2)
     s = (sel(0, 1), sel(0, 2))
-    q = query_zyqt(inst, 1, s, 2)
+    q = base_query(inst, 1, s, 2)
     assert q.column(1) == (1, 2) and q.column(2) == (0, 2)
 
 
@@ -111,9 +110,9 @@ def test_query_zyqt_columns_are_distinct_cyclic_shifts():
     inst = make_scheme(SchemeKind.ZYQT, 2, 3, 2)
     for s in inst.alphabet.members:
         for m in (1, 2):
-            cols = {query_zyqt(inst, m, s, j).column(m) for j in range(1, 4)}
+            cols = {base_query(inst, m, s, j).column(m) for j in range(1, 4)}
             assert len(cols) == 3
-            base = query_zyqt(inst, m, s, 1).column(m)
+            base = base_query(inst, m, s, 1).column(m)
             assert cols == {
                 tuple((e + d) % 3 for e in base) for d in range(3)
             }
@@ -121,8 +120,8 @@ def test_query_zyqt_columns_are_distinct_cyclic_shifts():
 
 def test_query_ztsl_frozen_cases():
     inst = make_scheme(SchemeKind.ZTSL, 2, 3, 2)
-    assert query_ztsl(inst, 1, (0, 0), 1) == qm((0, 0), (1, 1))
-    assert query_ztsl(inst, 2, (0, 0), 3) == qm((0, 2), (1, 0))
+    assert base_query(inst, 1, (0, 0), 1) == qm((0, 0), (1, 1))
+    assert base_query(inst, 2, (0, 0), 3) == qm((0, 2), (1, 0))
 
 
 def test_query_ztsl_columns_consecutive():
@@ -130,15 +129,15 @@ def test_query_ztsl_columns_consecutive():
     for s in inst.alphabet.members:
         for m in (1, 2):
             for j in (1, 2, 3):
-                q = query_ztsl(inst, m, s, j)
+                q = base_query(inst, m, s, j)
                 for col in (q.column(1), q.column(2)):
                     assert col[1] == (col[0] + 1) % 3
 
 
 def test_query_olr_frozen_cases():
     inst = make_scheme(SchemeKind.OLR, 2, 3, 2)
-    assert query_olr(inst, 1, (sel(0, 1),), 1) == qm((0, 0), (2, 1))
-    assert query_olr(inst, 2, (sel(0, 2),), 1) == qm((0, 0), (2, 1))
+    assert base_query(inst, 1, (sel(0, 1),), 1) == qm((0, 0), (2, 1))
+    assert base_query(inst, 2, (sel(0, 2),), 1) == qm((0, 0), (2, 1))
 
 
 def test_query_olr_desired_column_in_pnk():
@@ -146,18 +145,48 @@ def test_query_olr_desired_column_in_pnk():
     for s in inst.alphabet.members:
         for m in (1, 2, 3):
             for j in (1, 2, 3):
-                q = query_olr(inst, m, s, j)
+                q = base_query(inst, m, s, j)
                 assert len(set(q.column(m))) == 2
 
 
 def test_query_index_validation():
     inst = make_scheme(SchemeKind.ZTSL, 2, 3, 2)
     with pytest.raises(ValueError):
-        query_ztsl(inst, 0, (0, 0), 1)
+        base_query(inst, 0, (0, 0), 1)
     with pytest.raises(ValueError):
-        query_ztsl(inst, 3, (0, 0), 1)
+        base_query(inst, 3, (0, 0), 1)
     with pytest.raises(ValueError):
-        query_ztsl(inst, 1, (0, 0), 4)
+        base_query(inst, 1, (0, 0), 4)
+
+
+def _reference_columns(inst, m, s, j):
+    """The k-entry file columns of server j's base query, one scalar at a time."""
+    n, k = inst.params.n, inst.params.k
+    if inst.kind is SchemeKind.ZTSL:
+        base = [(v + (j - 1 if mm == m else 0)) % n for mm, v in enumerate(s, start=1)]
+        return [tuple((v + i) % n for i in range(k)) for v in base]
+    if inst.kind is SchemeKind.ZYQT:
+        return [tuple((e + (j - 1 if mm == m else 0)) % n for e in sel)
+                for mm, sel in enumerate(s, start=1)]
+    cols = [tuple(sel) for sel in s]
+    cols.insert(m - 1, tuple((j - 1 - sum(c[i] for c in cols)) % n for i in range(k)))
+    return cols
+
+
+@pytest.mark.parametrize("instance", [
+    (SchemeKind.ZYQT, 3, 3, 2), (SchemeKind.ZYQT, 1, 5, 3), (SchemeKind.ZTSL, 3, 4, 2),
+    (SchemeKind.ZTSL, 1, 3, 2), (SchemeKind.OLR, 3, 5, 3), (SchemeKind.OLR, 1, 4, 2),
+])
+def test_query_rows_match_scalar_reference(instance):
+    """Every member's batched query equals the column-by-column definition."""
+    inst = make_scheme(*instance)
+    strategies = strategy_array(inst)
+    for m in range(1, inst.m_files + 1):
+        for j in range(1, inst.n_servers + 1):
+            got = query_rows(inst, m, strategies, j).tolist()
+            want = [[list(r) for r in zip(*_reference_columns(inst, m, s, j))]
+                    for s in inst.alphabet.members]
+            assert got == want
 
 
 def test_answer_length_frozen_cases():
