@@ -2,6 +2,7 @@
 import hashlib
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wpir.leakage import (
     normalize_pmf,
     uniform_pmf,
 )
+from wpir import optimizer
 from wpir.optimizer import (
     LpProblem,
     brute_force_min_leakage,
@@ -177,9 +179,64 @@ def test_frontier_points_pinned():
     assert digest.hexdigest() == FRONTIER_SHA256
 
 
+# SHA-256 over repr((kind.value, step, d, (bits, argmin z))) of every oracle
+# answer below: a change to any argmin, its tie-breaking or its bits
+# changes it.  olr at step 1/30 spans two chunks, ztsl at 1/300 has
+# total > 255, and zyqt has |S| = 36 with several nonzeros per row.
+ORACLE_SHA256 = "fe2e9efe452f7d694b3f19b5315855379f52d1e378a36a2028ae271a02b8c363"
+
+
+def test_oracle_outputs_pinned():
+    targets = (F(2), F(5, 2), F(3), F(7, 2), F(4))
+    cases = [(SchemeKind.OLR, F(1, 30), targets),
+             (SchemeKind.ZTSL, F(1, 50), (F(3), F(13, 4), F(7, 2), F(15, 4), F(4))),
+             (SchemeKind.ZTSL, F(1, 300), (F(7, 2), F(4))),
+             (SchemeKind.ZYQT, F(1, 4), targets)]
+    digest = hashlib.sha256()
+    for kind, step, ds in cases:
+        inst, tables, cost = setup_scheme(kind)
+        for d in ds:
+            result = brute_force_min_leakage(tables[0], cost, d, step=step)
+            digest.update(repr((kind.value, step, d, result)).encode())
+    assert digest.hexdigest() == ORACLE_SHA256
+
+
 def test_composition_grid_count():
     assert grid_point_count(50, 3) == math.comb(52, 2)
     assert grid_point_count(4, 1) == 1
+
+
+def _reference_compositions(total, size):
+    """Every composition of total into size parts, one row each, in the
+    itertools.combinations order of the dividers."""
+    if size == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for dividers in combinations(range(total + size - 1), size - 1):
+        prev = -1
+        row = []
+        for d in dividers:
+            row.append(d - prev - 1)
+            prev = d
+        row.append(total + size - 2 - prev)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("total,size", [(5, 3), (4, 1), (6, 4), (3, 5), (10, 2),
+                                        (1, 3), (7, 6), (300, 2), (2, 9)])
+def test_composition_chunks_order_and_boundaries(monkeypatch, chunk, total, size):
+    if chunk is not None:
+        monkeypatch.setattr("wpir.optimizer._CHUNK", chunk)
+    chunks = list(optimizer._composition_chunks(total, size))
+    assert all(len(c) == optimizer._CHUNK for c in chunks[:-1])
+    assert 1 <= len(chunks[-1]) <= optimizer._CHUNK
+    got = np.concatenate(chunks)
+    want = _reference_compositions(total, size)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert len(got) == grid_point_count(total, size)
 
 
 def test_brute_force_matches_lp_ztsl():
