@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -226,25 +225,56 @@ def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):
     return [lo + (hi - lo) * Fraction(i, grid_size - 1) for i in range(grid_size)]
 
 
+def _split(rem: np.ndarray, parts: int) -> np.ndarray:
+    """Rows of every composition of each rem[i] into `parts` parts, in rem's
+    dtype: rem[0]'s block first, each block in lex order."""
+    rows = np.zeros((len(rem), 0), rem.dtype)
+    for _ in range(parts - 1):
+        reps = rem.astype(np.int64) + 1
+        src = np.repeat(np.arange(len(rem)), reps)
+        part = (np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(rem.dtype)
+        rows = np.column_stack([rows[src], part])
+        rem = rem[src] - part
+    return np.column_stack([rows, rem])
+
+
 def _composition_chunks(total: int, size: int):
-    """Integer vectors of the given size summing to total, _CHUNK at a time."""
-    if size == 1:
-        yield np.array([[total]], dtype=np.int64)
-        return
-    buf = []
-    for dividers in combinations(range(total + size - 1), size - 1):
-        prev = -1
-        row = []
-        for d in dividers:
-            row.append(d - prev - 1)
-            prev = d
-        row.append(total + size - 2 - prev)
-        buf.append(row)
-        if len(buf) == _CHUNK:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    """Integer vectors of the given size summing to total, _CHUNK at a time.
+
+    Rows come in lex order, the first part varying slowest.  A row is a
+    head, its leading parts, and a tail, its last `tail` parts.  The heads
+    and the tails of every remainder are tabulated once as zero-padded
+    rows; each chunk repeats its heads and adds the gathered tails.
+    """
+    # the heads table has grid_point_count(total, lead + 1) rows and the
+    # tails table grid_point_count(total, tail + 1): balance them
+    tail = 1
+    while tail < size - 1 and grid_point_count(total, size - tail + 1) > grid_point_count(
+        total, tail + 1
+    ):
+        tail += 1
+    lead = size - tail
+    dtype = np.min_scalar_type(total)
+    # tails grouped by their sum r = 0..total; r's block starts at starts[r]
+    tails = np.pad(_split(np.arange(total + 1, dtype=dtype), tail), ((0, 0), (lead, 0)))
+    counts = np.array([grid_point_count(r, tail) for r in range(total + 1)])
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    # heads summing to at most total: compositions into one more part
+    heads = _split(np.array([total], dtype=dtype), lead + 1)
+    rem = heads[:, -1].astype(np.int64)
+    heads = np.pad(heads[:, :-1], ((0, 0), (0, tail)))
+    # head h owns rows begins[h] <= row < ends[h]
+    ends = np.cumsum(counts[rem])
+    begins = ends - counts[rem]
+    shift = starts[rem] - begins
+    for first in range(0, int(ends[-1]), _CHUNK):
+        last = min(first + _CHUNK, int(ends[-1]))
+        lo, hi = np.searchsorted(ends, [first, last - 1], side="right")
+        span = slice(lo, hi + 1)
+        reps = np.minimum(ends[span], last) - np.maximum(begins[span], first)
+        out = np.repeat(heads[span], reps, axis=0)
+        out += tails.take(np.repeat(shift[span], reps) + np.arange(first, last), axis=0)
+        yield out.astype(np.int64)
 
 
 def grid_point_count(total: int, size: int) -> int:
@@ -264,6 +294,8 @@ def brute_force_min_leakage(
     refused.
     """
     step = Fraction(step)
+    if not 0 < step <= 1:
+        raise ValueError(f"step must lie in (0, 1], got {step}")
     total = int(1 / step)
     if Fraction(1, total) != step:
         raise ValueError(f"step must divide 1 exactly, got {step}")

@@ -271,6 +271,9 @@ def test_brute_force_guards(monkeypatch):
         brute_force_min_leakage(tables[0], cost, 4, step=F(1, 50))
     with pytest.raises(ValueError):
         brute_force_min_leakage(tables[0], cost, 4, step=F(3, 100))
+    for step in (F(0), F(2), F(-1, 5)):
+        with pytest.raises(ValueError, match="step must lie in"):
+            brute_force_min_leakage(tables[0], cost, 4, step=step)
     with pytest.raises(ValueError):
         brute_force_min_leakage(tables[0], cost, 1, step=F(1, 10))
 
