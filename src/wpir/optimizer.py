@@ -267,8 +267,9 @@ def _composition_chunks(total: int, size: int):
     ends = np.cumsum(counts[rem])
     begins = ends - counts[rem]
     shift = starts[rem] - begins
-    for first in range(0, int(ends[-1]), _CHUNK):
-        last = min(first + _CHUNK, int(ends[-1]))
+    n_rows = int(ends[-1])
+    for first in range(0, n_rows, _CHUNK):
+        last = min(first + _CHUNK, n_rows)
         lo, hi = np.searchsorted(ends, [first, last - 1], side="right")
         span = slice(lo, hi + 1)
         reps = np.minimum(ends[span], last) - np.maximum(begins[span], first)

@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from wpir import optimizer
 from wpir.leakage import (
     ResourceLimitError,
     build_all_tables,
@@ -18,7 +19,6 @@ from wpir.leakage import (
     normalize_pmf,
     uniform_pmf,
 )
-from wpir import optimizer
 from wpir.optimizer import (
     LpProblem,
     brute_force_min_leakage,
