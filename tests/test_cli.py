@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface."""
+import hashlib
 import io
 import os
 import subprocess
@@ -71,6 +72,23 @@ def test_tradeoff_endpoints():
     assert float(first[8]) == pytest.approx(2 / 3)
     assert float(last[6]) == pytest.approx(0.0, abs=1e-9)
     assert float(last[8]) == pytest.approx(0.6)
+
+
+# SHA-256 of the whole `wpir tradeoff` stdout, header comments included
+@pytest.mark.parametrize("argv,digest", [
+    (("olr", "4", "3", "2", "9"),
+     "4b19d8f95488e8c25c85c1b3c181f09782cbc4e4f70b9197efb0bbb01c049654"),
+    (("zyqt", "3", "3", "2", "9"),
+     "bca32fa783cb8e04ac7bb2111c9ea062aedd47178cc30bd2b7259fb2774822ca"),
+    (("zyqt", "2", "5", "3", "2"),
+     "d8b90d27d8678d1649ab60df33f1a97af0e773622a39941878196f2c7353a3fd"),
+], ids=["olr-4-3-2", "zyqt-3-3-2", "zyqt-2-5-3"])
+def test_tradeoff_csvs_pinned(argv, digest):
+    scheme, m_files, n_servers, dim, grid = argv
+    code, out = run_cli(["tradeoff", "--scheme", scheme, "--files", m_files,
+                         "--servers", n_servers, "--dim", dim, "--grid", grid])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tradeoff_header_names_columns():
