@@ -6,7 +6,8 @@ count over N: P(q|m) at strategy s is the number of shifts t that send
 sparse integer matrix, and every server's table is the same, so the
 analysis builds server 1's alone, in one pass: one `np.unique` over the
 bytes of every (m, s, t) query numbers the queries.  The cost form, the
-LP rows and the exact leakage are all assembled from the counts;
+LP rows, their coarsest equitable partition and the exact leakage are all
+assembled from the counts;
 `Fraction` appears only in the exact re-check and in the linear-form
 views that the table CSV prints.  Floats appear only when taking the
 final log.  Leakage is log2 of the sum, over reachable queries, of the
@@ -35,6 +36,9 @@ from .schemes import (
 
 # largest |S| * N * M enumerated when tabulating a scheme
 DEFAULT_TABLE_GUARD = 1_500_000
+# seeds the random hash weights of color refinement; the partition it
+# returns does not depend on them
+_REFINE_SEED = 20140908
 
 
 class ResourceLimitError(RuntimeError):
@@ -138,12 +142,109 @@ class ConditionalQueryTable:
         """Read-only view: query -> answer length."""
         return MappingProxyType(dict(zip(self.queries, self.answer_lengths.tolist())))
 
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coarsest equitable partition of the epigraph matrix's rows and
+        columns (see equitable_partition): strategies then queries.
+
+        Strategies start colored by their download cost, so the download
+        cost form is constant on every strategy class.  The LP's all-ones
+        normalization row and its [0, 1] bounds are the same on every
+        strategy, so they split no class and are left out.
+        """
+        rows = np.zeros(self.counts.shape[0], dtype=np.int64)
+        cost = _download_numerators(self)
+        cols = np.concatenate([cost, np.full(len(self.queries), cost.max() + 1)])
+        return equitable_partition(epigraph_matrix(self), rows, cols)
+
     def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:
         """P(q | m) as a linear form; m is 1-based."""
         return self.forms[q][m - 1]
 
     def length(self, q: QueryMatrix) -> int:
         return self.lengths[q]
+
+
+def epigraph_matrix(table: ConditionalQueryTable) -> sparse.csr_matrix:
+    """The trade-off LP's count rows in integers: row qi*M + m-1 is the
+    table's count row over the strategies, beside -N on query qi's column."""
+    n_rows, n_z = table.counts.shape
+    rows = np.arange(n_rows)
+    epigraph = sparse.csr_matrix((np.full(n_rows, -table.n_servers, dtype=np.int64),
+                                  (rows, rows // table.m_files)),
+                                 shape=(n_rows, len(table.queries)))
+    return sparse.hstack([table.counts, epigraph], format="csr")
+
+
+def _first_seen(labels: np.ndarray) -> np.ndarray:
+    """Relabel classes 0, 1, ... in the order of their first member."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]
+
+
+def class_indicator(labels: np.ndarray) -> sparse.csr_matrix:
+    """Member x class 0/1 integer matrix of a labelling."""
+    n = labels.size
+    return sparse.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), labels)),
+                             shape=(n, int(labels.max()) + 1))
+
+
+def _split(colors, lines, value_ids, other, rng) -> np.ndarray:
+    """Split each color class of the rows of `lines` by the multiset of
+    (other color, value) pairs over a row's nonzeros, hashed as a sum of
+    random 64-bit weights, one per pair."""
+    n_values = int(value_ids.max()) + 1
+    weights = rng.integers(0, 2**64, size=(int(other.max()) + 1) * n_values, dtype=np.uint64)
+    hashed = weights[other[lines.indices] * n_values + value_ids]
+    # sums wrap modulo 2**64; empty rows sum to 0
+    running = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(hashed, dtype=np.uint64)])
+    sums = running[lines.indptr[1:]] - running[lines.indptr[:-1]]
+    keys = np.column_stack([colors.astype(np.uint64), sums])
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+def check_equitable(matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Raise RuntimeError unless every row of a class has the same sum over
+    each column class and every column of a class the same sum over each
+    row class.  Integer sparse products: the check is exact."""
+    for lines, labels, other in ((matrix, rows, cols), (matrix.T.tocsr(), cols, rows)):
+        sums = (lines @ class_indicator(other)).tocsr()
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        if (sums - sums[first[inverse.ravel()]]).count_nonzero():
+            raise RuntimeError("partition is not equitable: its classes cannot "
+                               "reduce the LP")
+
+
+def equitable_partition(matrix: sparse.csr_matrix, row_colors, col_colors):
+    """Coarsest equitable partition of an integer matrix that refines the
+    given row and column colorings, as (row labels, column labels).
+
+    Color refinement: a column's new color is its old color plus the
+    multiset of (row color, value) over its nonzeros, and a row's likewise,
+    until neither count grows.  An LP whose matrix, costs and bounds are
+    constant on such classes has the optimum of its reduction to one
+    variable per column class and one row per row class (Grohe, Kersting,
+    Mladenov and Selman, ESA 2014).  Classes are numbered in the order of
+    their first member.  The result is checked exactly (check_equitable),
+    so a hash collision raises instead of returning a wrong partition.
+    """
+    lines = sparse.csr_matrix(matrix)
+    lines_t = lines.T.tocsr()
+    row_values = np.unique(lines.data, return_inverse=True)[1].ravel()
+    col_values = np.unique(lines_t.data, return_inverse=True)[1].ravel()
+    rng = np.random.default_rng(_REFINE_SEED)
+    rows, cols = _first_seen(np.asarray(row_colors)), _first_seen(np.asarray(col_colors))
+    while True:
+        sizes = rows.max(), cols.max()
+        cols = _split(cols, lines_t, col_values, rows, rng)
+        rows = _split(rows, lines, row_values, cols, rng)
+        if (rows.max(), cols.max()) == sizes:
+            break
+    rows, cols = _first_seen(rows), _first_seen(cols)
+    check_equitable(lines, rows, cols)
+    return rows, cols
 
 
 def check_table_budget(inst: SchemeInstance, n_tables: int) -> None:
@@ -236,14 +337,24 @@ class LeakageValue:
 def maxl(table: ConditionalQueryTable, z) -> LeakageValue:
     """log2 of the summed per-query maxima of P(q|m) at the PMF z."""
     zf = as_pmf(z, table.alphabet_size)
-    # z = a / common with integer a, so P(q|m) = (count row . a) / (N common);
-    # Python ints keep every numerator exact
     common = math.lcm(*(v.denominator for v in zf))
-    a = np.array([v.numerator * (common // v.denominator) for v in zf], dtype=object)
-    c = table.counts
+    numerators = [v.numerator * (common // v.denominator) for v in zf]
+    return leakage_at(table, table.counts, numerators, common)
+
+
+def leakage_at(table: ConditionalQueryTable, counts, numerators, common: int) -> LeakageValue:
+    """maxl at the PMF numerators / common, one integer numerator per column
+    of counts: the table's count matrix, or its columns summed over
+    classes of strategies that share one probability.
+
+    P(q|m) = (count row . numerators) / (N common); Python ints keep every
+    numerator exact.
+    """
+    a = np.array(numerators, dtype=object)
+    c = counts
     running = np.concatenate(([0], np.cumsum(c.data.astype(object) * a[c.indices])))
-    numerators = running[c.indptr[1:]] - running[c.indptr[:-1]]
-    per_query = numerators.reshape(-1, table.m_files).max(axis=1)
+    per_row = running[c.indptr[1:]] - running[c.indptr[:-1]]
+    per_query = per_row.reshape(-1, table.m_files).max(axis=1)
     total = Fraction(int(per_query.sum()), table.n_servers * common)
     bits = math.log2(total) if total != 1 else 0.0
     if table.m_files == 1:
@@ -251,6 +362,11 @@ def maxl(table: ConditionalQueryTable, z) -> LeakageValue:
     return LeakageValue(
         raw_sum=total, bits=bits, normalized=bits / math.log2(table.m_files)
     )
+
+
+def _download_numerators(table: ConditionalQueryTable) -> np.ndarray:
+    """Each strategy's sum of len(q) * count over the count rows."""
+    return table.counts.T @ np.repeat(table.answer_lengths, table.m_files)
 
 
 def download_cost_form(tables) -> LinearForm:
@@ -261,10 +377,9 @@ def download_cost_form(tables) -> LinearForm:
     len(q) * count / (N M): integer numerators over M.
     """
     table = shared_table(tables)
-    numerators = table.counts.T @ np.repeat(table.answer_lengths, table.m_files)
     coeffs = {
         i: Fraction(v, table.m_files)
-        for i, v in enumerate(numerators.tolist()) if v
+        for i, v in enumerate(_download_numerators(table).tolist()) if v
     }
     return LinearForm(coeffs=coeffs).affine_on_simplex(table.alphabet_size)
 

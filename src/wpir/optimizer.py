@@ -2,9 +2,14 @@
 
 Minimizing maximal leakage under a download-cost cap is convex; because
 log2 is monotone it reduces to a linear program over the strategy PMF z
-with one epigraph variable per reachable query.  A second LP pass then
-pushes the download cost down to the lower envelope at the optimal
-leakage.  A brute-force simplex-grid search validates the LP from below.
+with one epigraph variable per reachable query.  Each point is solved on
+that LP reduced by its coarsest equitable partition: one weight per class
+of strategies the LP cannot tell apart, one epigraph variable per class of
+queries, and one row per class of rows; the reduced LP has the full LP's
+optimum, and its answer lifts to a z constant on each class.  A second
+LP pass then pushes the download cost down to the lower envelope at the
+optimal leakage.  A brute-force simplex-grid search validates the LP from
+below.
 """
 from __future__ import annotations
 
@@ -20,8 +25,11 @@ from .leakage import (
     ConditionalQueryTable,
     LinearForm,
     ResourceLimitError,
+    class_indicator,
+    epigraph_matrix,
+    equitable_partition,
+    leakage_at,
     maxl,
-    normalize_pmf,
     shared_table,
 )
 
@@ -42,7 +50,9 @@ class LpProblem:
     """min c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, 0 <= x <= 1.
 
     Variables are the n_z strategy probabilities followed by one
-    epigraph variable per query.
+    epigraph variable per query; in a reduced LP, one per class of
+    strategies and one per class of queries, each weighted by its class
+    size in c and a_eq.  The last row of a_ub is the cost cap.
     """
 
     n_z: int
@@ -119,17 +129,11 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
 
 def _with_leakage_cap(p: LpProblem, cap: float) -> LpProblem:
     """Swap the objective to the download cost (the last row of a_ub),
-    capping total leakage."""
-    n_t = p.c.size - p.n_z
-    cap_row = sparse.csr_matrix(
-        (np.ones(n_t), (np.zeros(n_t, dtype=int), p.n_z + np.arange(n_t))),
-        shape=(1, p.c.size),
-        dtype=float,
-    )
+    capping the stage-1 objective, the total leakage."""
     return LpProblem(
         n_z=p.n_z,
         c=p.a_ub[-1].toarray().ravel(),
-        a_ub=sparse.vstack([p.a_ub, cap_row], format="csr"),
+        a_ub=sparse.vstack([p.a_ub, sparse.csr_matrix(p.c)], format="csr"),
         b_ub=np.concatenate([p.b_ub, [cap]]),
         a_eq=p.a_eq,
         b_eq=p.b_eq,
@@ -172,6 +176,83 @@ def solve_lp(p: LpProblem) -> LpSolution:
 
 
 @dataclass(frozen=True)
+class ReducedLp:
+    """The epigraph LP on the classes of an equitable partition.
+
+    x = P w: every strategy of class C has probability w[C], and every
+    query of a class shares one epigraph variable.  `strategy_class[s]`
+    is s's class, `sizes[C]` its number of members, `cost[C]` the cost
+    form's summed coefficients over C, and `by_class` the table's count
+    rows summed over each class.
+    """
+
+    problem: LpProblem
+    strategy_class: np.ndarray
+    sizes: list[int]
+    cost: list[Fraction]
+    by_class: sparse.csr_matrix
+
+
+def _cost_classes(table: ConditionalQueryTable, cost_form: LinearForm):
+    """The table's partition, refined once more with the cost row unless
+    the cost form is already constant on its strategy classes, and the
+    cost coefficient of each strategy class."""
+    rows, cols = table.classes
+    n_z = table.alphabet_size
+    zero = Fraction(0)
+    coeffs = [cost_form.coeffs.get(i, zero) for i in range(n_z)]
+    first = np.unique(cols[:n_z], return_index=True)[1]
+    if any(c != coeffs[r] for c, r in zip(coeffs, first[cols[:n_z]].tolist())):
+        # the cost row in integers: equal codes for equal coefficients
+        ids = {}
+        codes = [ids.setdefault(c, len(ids) + 1) for c in coeffs]
+        cost_row = sparse.csr_matrix((codes, (np.zeros(n_z, dtype=int), np.arange(n_z))),
+                                     shape=(1, cols.size), dtype=np.int64)
+        rows, cols = equitable_partition(sparse.vstack([epigraph_matrix(table), cost_row]),
+                                         np.append(rows, rows.max() + 1), cols)
+        rows = rows[:-1]
+        first = np.unique(cols[:n_z], return_index=True)[1]
+    return rows, cols, [coeffs[r] for r in first.tolist()]
+
+
+def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
+    """reformulate's LP on the classes of its coarsest equitable partition,
+    with one representative count row per row class, in row order, then
+    the cost cap."""
+    table = shared_table(tables)
+    rows, cols, class_coeffs = _cost_classes(table, cost_form)
+    n_z = table.alphabet_size
+    strategy_class = cols[:n_z]
+    n_w = len(class_coeffs)
+    sizes = np.bincount(cols).tolist()
+    cost = [n * c for n, c in zip(sizes, class_coeffs)]
+    by_class = (table.counts @ class_indicator(strategy_class)).tocsr()
+    reps = np.unique(rows, return_index=True)[1]
+    sub = by_class[reps]
+    ends = sub.indptr[1:]
+    cost_cols = np.flatnonzero(cost)
+    data = np.concatenate([np.insert(sub.data / table.n_servers, ends, -1.0),
+                           [float(cost[i]) for i in cost_cols]])
+    indices = np.concatenate([np.insert(sub.indices, ends, cols[n_z + reps // table.m_files]),
+                              cost_cols])
+    indptr = np.concatenate([sub.indptr + np.arange(len(reps) + 1), [data.size]])
+    n_vars = len(sizes)
+    b_ub = np.full(len(reps) + 1, -0.0)
+    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
+    weights = np.array(sizes, dtype=float)
+    problem = LpProblem(
+        n_z=n_w,
+        c=np.concatenate([np.zeros(n_w), weights[n_w:]]),
+        a_ub=sparse.csr_matrix((data, indices, indptr), shape=(len(reps) + 1, n_vars)),
+        b_ub=b_ub,
+        a_eq=sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(n_vars - n_w)])),
+        b_eq=np.array([1.0]),
+    )
+    return ReducedLp(problem=problem, strategy_class=strategy_class, sizes=sizes[:n_w],
+                     cost=cost, by_class=by_class)
+
+
+@dataclass(frozen=True)
 class TradeoffPoint:
     """One point on the optimal leakage/download frontier."""
 
@@ -184,27 +265,49 @@ class TradeoffPoint:
     z: tuple[Fraction, ...]
 
 
+def _class_pmf(weights, sizes) -> list[Fraction]:
+    """One exact probability per class such that the classes' members sum
+    to 1; normalize_pmf on the lifted vector, class by class."""
+    w = [max(Fraction(v), Fraction(0)) for v in weights]
+    total = sum((n * v for n, v in zip(sizes, w)), Fraction(0))
+    if total <= 0:
+        raise ValueError("cannot normalize an all-zero vector")
+    return [v / total for v in w]
+
+
+def _exact(table, red: ReducedLp, constant: Fraction, w):
+    """Exact leakage and cost at the class probabilities w."""
+    common = math.lcm(*(v.denominator for v in w))
+    numerators = [v.numerator * (common // v.denominator) for v in w]
+    d = constant + sum((c * v for c, v in zip(red.cost, w)), Fraction(0))
+    return leakage_at(table, red.by_class, numerators, common), d
+
+
 def solve_tradeoff_point(tables, cost_form: LinearForm, d_target, lam: int, dim: int):
     """Optimal leakage at one cost target, then the cheapest cost achieving
-    it, made exact.  Returns None when the target is infeasible."""
+    it, made exact.  Returns None when the target is infeasible.
+
+    Both LP stages run on the reduced LP (reduce_lp); normalizing,
+    snapping and the exact re-check run on one probability per strategy
+    class, which gives z exactly as on the lifted vector.
+    """
     table = shared_table(tables)
-    p = reformulate(tables, cost_form, d_target)
+    red = reduce_lp(tables, cost_form, d_target)
+    p = red.problem
     sol = solve_lp(p)
     if not sol.is_optimal:
         return None
     capped = solve_lp(_with_leakage_cap(p, sol.objective + LEAKAGE_CAP_SLACK))
-    z = normalize_pmf((capped if capped.is_optimal else sol).x)
-    val, d_achieved = maxl(table, z), cost_form.evaluate(z)
-    snapped = tuple(v.limit_denominator(_SNAP_DENOMINATOR) for v in z)
-    total = sum(snapped)
+    w = _class_pmf((capped if capped.is_optimal else sol).x, red.sizes)
+    val, d_achieved = _exact(table, red, cost_form.constant, w)
+    snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
+    total = sum((n * v for n, v in zip(red.sizes, snapped)), Fraction(0))
     if total > 0:
-        snapped = tuple(v / total for v in snapped)
-        if snapped != z:
-            d_snapped = cost_form.evaluate(snapped)
-            if d_snapped <= Fraction(d_target):
-                val_snapped = maxl(table, snapped)
-                if val_snapped.raw_sum <= val.raw_sum:
-                    z, val, d_achieved = snapped, val_snapped, d_snapped
+        snapped = [v / total for v in snapped]
+        if snapped != w:
+            val_snapped, d_snapped = _exact(table, red, cost_form.constant, snapped)
+            if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
+                w, val, d_achieved = snapped, val_snapped, d_snapped
     return TradeoffPoint(
         d_target=Fraction(d_target),
         d_achieved=d_achieved,
@@ -212,7 +315,7 @@ def solve_tradeoff_point(tables, cost_form: LinearForm, d_target, lam: int, dim:
         leakage_bits=val.bits,
         leakage_normalized=val.normalized,
         rate=Fraction(lam * dim) / d_achieved,
-        z=z,
+        z=tuple(w[c] for c in red.strategy_class.tolist()),
     )
 
 
@@ -291,8 +394,8 @@ def brute_force_min_leakage(
     """Minimum leakage over a barycentric PMF grid under the cost cap.
 
     Returns (bits, argmin PMF); independent of the LP by construction.
-    Grids of more than DEFAULT_GRID_GUARD points (read at call time) are
-    refused.
+    Grids of more than DEFAULT_GRID_GUARD points, or whose chunks hold more
+    than DEFAULT_GRID_GUARD entries (read at call time), are refused.
     """
     step = Fraction(step)
     if not 0 < step <= 1:
@@ -306,6 +409,12 @@ def brute_force_min_leakage(
         raise ResourceLimitError(
             f"grid has {count} points for |S|={size} at step {step}, "
             f"budget {DEFAULT_GRID_GUARD}"
+        )
+    entries = min(count, _CHUNK) * size
+    if entries > DEFAULT_GRID_GUARD:
+        raise ResourceLimitError(
+            f"grid chunks hold {entries} entries ({min(count, _CHUNK)} points x "
+            f"|S|={size}) at step {step}, budget {DEFAULT_GRID_GUARD}"
         )
     cost_vec = _cost_vector(cost_form, size)
     cost_cap = float(Fraction(d_target) - cost_form.constant) + 1e-9

@@ -12,19 +12,25 @@ from scipy.optimize import linprog
 
 from wpir import optimizer
 from wpir.leakage import (
+    LinearForm,
     ResourceLimitError,
     build_all_tables,
     build_query_table,
+    check_equitable,
     download_cost_form,
+    epigraph_matrix,
     maxl,
     normalize_pmf,
     uniform_pmf,
 )
 from wpir.optimizer import (
+    LEAKAGE_CAP_SLACK,
     LpProblem,
+    _with_leakage_cap,
     brute_force_min_leakage,
     default_grid,
     grid_point_count,
+    reduce_lp,
     reformulate,
     solve_lp,
     solve_tradeoff_point,
@@ -154,13 +160,125 @@ def test_sweep_value_function_convex():
         assert b.leakage_bits <= a.leakage_bits + 1e-9
 
 
+_REDUCED = [(SchemeKind.OLR, 2, 3, 2), (SchemeKind.ZTSL, 2, 3, 2),
+            (SchemeKind.ZYQT, 2, 3, 2), (SchemeKind.ZYQT, 3, 3, 2),
+            (SchemeKind.OLR, 4, 3, 2)]
+
+
+@pytest.mark.parametrize("instance", _REDUCED, ids=lambda i: f"{i[0].value}-{i[1]}")
+def test_reduced_lp_optimum_equals_full_lp(instance):
+    inst, tables, cost = setup_scheme(*instance)
+    size = inst.alphabet.size
+    for d in default_grid(cost, size, 9):
+        full = solve_lp(reformulate(tables, cost, d))
+        reduced = solve_lp(reduce_lp(tables, cost, d).problem)
+        assert full.is_optimal and reduced.is_optimal
+        assert reduced.objective == pytest.approx(full.objective, abs=1e-9)
+    d = cost.min_on_simplex(size) - 1
+    assert not solve_lp(reformulate(tables, cost, d)).is_optimal
+    assert not solve_lp(reduce_lp(tables, cost, d).problem).is_optimal
+
+
+def test_cost_form_off_the_classes_refines_them():
+    """A cost form that splits a strategy class is refined in, and the
+    reduced optimum still equals the full LP's at both stages."""
+    inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    size = inst.alphabet.size
+    strategy_class = tables[0].classes[1][:size]
+    assert np.bincount(strategy_class).max() > 1
+    cost = LinearForm(coeffs={0: F(3), 5: F(1, 2)}, constant=F(1))
+    red = reduce_lp(tables, cost, F(3, 2))
+    assert len(red.sizes) > strategy_class.max() + 1
+    for d in (F(1), F(5, 4), F(3, 2), F(4)):
+        full = reformulate(tables, cost, d)
+        reduced = reduce_lp(tables, cost, d).problem
+        for _ in range(2):
+            a, b = solve_lp(full), solve_lp(reduced)
+            assert a.objective == pytest.approx(b.objective, abs=1e-9)
+            full = _with_leakage_cap(full, a.objective + LEAKAGE_CAP_SLACK)
+            reduced = _with_leakage_cap(reduced, b.objective + LEAKAGE_CAP_SLACK)
+        pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+        assert cost.evaluate(pt.z) == pt.d_achieved <= d
+        assert maxl(tables[0], pt.z).raw_sum == pt.leakage_sum
+
+
+@pytest.mark.parametrize("instance", [(SchemeKind.ZYQT, 3, 3, 2), (SchemeKind.OLR, 4, 3, 2)],
+                         ids=["zyqt-3", "olr-4"])
+def test_equitable_check_rejects_corrupted_partition(instance):
+    inst, tables, _ = setup_scheme(*instance)
+    table = tables[0]
+    matrix = epigraph_matrix(table)
+    rows, cols = table.classes
+    check_equitable(matrix, rows, cols)
+    merged = np.where(cols == 1, 0, cols)
+    with pytest.raises(RuntimeError, match="not equitable"):
+        check_equitable(matrix, rows, merged)
+    moved = rows.copy()
+    moved[np.flatnonzero(rows == 1)[0]] = 0
+    with pytest.raises(RuntimeError, match="not equitable"):
+        check_equitable(matrix, moved, cols)
+
+
+def test_partition_computed_once_per_sweep(monkeypatch):
+    calls = []
+    real = optimizer.equitable_partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("wpir.leakage.equitable_partition", counted)
+    monkeypatch.setattr("wpir.optimizer.equitable_partition", counted)
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    for d in default_grid(cost, inst.alphabet.size, 9):
+        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+    assert len(calls) == 1
+
+
+def _per_strategy_point(table, cost, d, x, lam, dim):
+    """The exact re-check on the lifted vector, one Fraction per strategy."""
+    z = normalize_pmf(x)
+    val, d_achieved = maxl(table, z), cost.evaluate(z)
+    snapped = tuple(v.limit_denominator(optimizer._SNAP_DENOMINATOR) for v in z)
+    total = sum(snapped)
+    if total > 0:
+        snapped = tuple(v / total for v in snapped)
+        if snapped != z:
+            d_snapped = cost.evaluate(snapped)
+            if d_snapped <= F(d):
+                val_snapped = maxl(table, snapped)
+                if val_snapped.raw_sum <= val.raw_sum:
+                    z, val, d_achieved = snapped, val_snapped, d_snapped
+    return (F(d), d_achieved, val.raw_sum, val.bits, val.normalized,
+            F(lam * dim) / d_achieved, z)
+
+
+@pytest.mark.parametrize("instance", _REDUCED, ids=lambda i: f"{i[0].value}-{i[1]}")
+def test_class_recheck_matches_per_strategy(instance):
+    inst, tables, cost = setup_scheme(*instance)
+    lam, dim = inst.params.lam, inst.dim
+    for d in default_grid(cost, inst.alphabet.size, 7):
+        red = reduce_lp(tables, cost, d)
+        sol = solve_lp(red.problem)
+        capped = solve_lp(_with_leakage_cap(red.problem, sol.objective + LEAKAGE_CAP_SLACK))
+        w = (capped if capped.is_optimal else sol).x
+        x = w[red.strategy_class]
+        lifted = optimizer._class_pmf(w, red.sizes)
+        assert tuple(lifted[c] for c in red.strategy_class) == normalize_pmf(x)
+        pt = solve_tradeoff_point(tables, cost, d, lam, dim)
+        assert (pt.d_target, pt.d_achieved, pt.leakage_sum, pt.leakage_bits,
+                pt.leakage_normalized, pt.rate, pt.z) == _per_strategy_point(
+                    tables[0], cost, d, x, lam, dim)
+
+
 # SHA-256 over repr((d_target, d_achieved, leakage_sum, leakage_bits, rate))
 # of every frontier point below: a change to any point's exact values or
 # float digits changes it
 FRONTIER_SHA256 = "97e1cfb76283576ffc5204f3841f66b3d7bad4306e9d00aaa4f476c3c25d6f9a"
 # SHA-256 over repr(z) of the same points: an LP with several optimal
 # vertices may return any of them, so this pins which one is returned
-FRONTIER_Z_SHA256 = "3b7f6bf6a3442c975d23f9c7ce3901a795fcc3acaa7272c67a4e5140f1085000"
+# (the reduced LP's, constant on every strategy class)
+FRONTIER_Z_SHA256 = "a5e934b660a52c34575766a065df159d30af6cb1f827bdf30a10caafb9dca654"
 
 
 @functools.lru_cache(maxsize=1)
@@ -294,6 +412,18 @@ def test_brute_force_guards(monkeypatch):
             brute_force_min_leakage(tables[0], cost, 4, step=step)
     with pytest.raises(ValueError):
         brute_force_min_leakage(tables[0], cost, 1, step=F(1, 10))
+    # a wide, shallow grid: few points, but points x |S| entries per chunk,
+    # refused before any chunk is built
+    with monkeypatch.context() as patched:
+        patched.setattr("wpir.optimizer._composition_chunks", None)
+        inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+        assert grid_point_count(2, inst.alphabet.size) <= optimizer.DEFAULT_GRID_GUARD
+        with pytest.raises(ResourceLimitError, match="entries"):
+            brute_force_min_leakage(tables[0], cost, 4, step=F(1, 2))
+        inst, tables, cost = setup_scheme(SchemeKind.ZYQT)
+        patched.setattr("wpir.optimizer.DEFAULT_GRID_GUARD", 36 * 36 - 1)
+        with pytest.raises(ResourceLimitError, match="entries"):
+            brute_force_min_leakage(tables[0], cost, 4, step=F(1))
 
 
 def test_solve_lp_rejects_duality_gap(monkeypatch):
