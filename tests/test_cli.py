@@ -47,6 +47,28 @@ def test_enumerate_lists_small_alphabet():
     assert lines[1:] == ["z1: 0 0", "z2: 1 2", "z3: 2 1"]
 
 
+# SHA-256 of the whole `wpir enumerate` stdout, header comments included;
+# olr (3,5,3) has 1,500 members, so its listing is elided
+@pytest.mark.parametrize("argv,digest", [
+    (("zyqt", "2", "3", "2"),
+     "f91d46cc7201ac5efa436ad518a51b29c3aababd6e8b3783510035e923bf3555"),
+    (("olr", "3", "3", "2"),
+     "8182c7ba65d8349f27972284e8e36447b6b6ea059f243a158665d0fe8b5564c9"),
+    (("ztsl", "3", "4", "2"),
+     "6ddcc55dde8576783601e8a3c500b88461c07679a1f17b61de8af6cf3626f807"),
+    (("olr", "1", "4", "2"),
+     "c475a801b81fe8a84e20fcfd97ba43ecd5354c99204c395d1b2f7b379a01f8c4"),
+    (("olr", "3", "5", "3"),
+     "06392afd48384269ed46819bf528620e03063607b6c28f155e6e3d420dc5d475"),
+], ids=["zyqt-2-3-2", "olr-3-3-2", "ztsl-3-4-2", "olr-1-4-2", "olr-3-5-3-elided"])
+def test_enumerate_output_pinned(argv, digest):
+    scheme, m_files, n_servers, dim = argv
+    code, out = run_cli(["enumerate", "--scheme", scheme, "--files", m_files,
+                         "--servers", n_servers, "--dim", dim])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_matches_library_output():
     code, out = run_cli(
         ["table", "--scheme", "olr", "--files", "2", "--servers", "3", "--dim", "2"]
