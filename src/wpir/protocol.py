@@ -242,7 +242,7 @@ def run_retrieval(
         raise ValueError(f"strategy index {s_index} outside [0:{inst.alphabet.size - 1}]")
     if channels is None:
         channels = in_process_channels(inst, storage)
-    s = inst.alphabet.members[s_index]
+    s = inst.alphabet.array[s_index]
     queries, answers = [], []
     for j in range(1, inst.n_servers + 1):
         q = time_shared_query(inst, m, s, t, j)
@@ -387,8 +387,9 @@ def simulate_downloads(
     counts: dict[int, dict[QueryMatrix, int]] = {
         j: {} for j in range(1, inst.n_servers + 1)
     }
+    strategies = inst.alphabet.array
     for si in s_indices:
-        s = inst.alphabet.members[si]
+        s = strategies[si]
         m = rng.randrange(1, inst.m_files + 1)
         t = rng.randrange(1, inst.n_servers + 1)
         for j in range(1, inst.n_servers + 1):

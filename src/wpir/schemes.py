@@ -14,9 +14,10 @@ leakage identical at every server.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -58,49 +59,72 @@ def enumerate_pnk(n: int, k: int) -> tuple[PermSelector, ...]:
 
 @dataclass(frozen=True)
 class StrategyAlphabet:
-    """The ordered strategy set S for one scheme and one (n, k, M)."""
+    """The ordered strategy set S for one scheme and one (n, k, M).
+
+    `array` holds S as one read-only integer array, member i in row i, in
+    the layout `strategy_array` documents.  (kind, n, k, M) determine it,
+    so it takes no part in equality or hashing.
+    """
 
     kind: SchemeKind
     n: int
     k: int
     m_files: int
-    members: tuple
+    array: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.array)
+
+    @cached_property
+    def members(self) -> tuple:
+        """Each member as a tuple, of ints for ztsl and of PermSelectors for
+        zyqt and olr; built on first use only."""
+        rows = self.array.tolist()
+        if self.kind is SchemeKind.ZTSL:
+            return tuple(map(tuple, rows))
+        selectors = {p.entries: p for p in enumerate_pnk(self.n, self.k)}
+        return tuple(tuple(selectors[tuple(sel)] for sel in row) for row in rows)
+
+
+def _digit_rows(radix: int, width: int) -> np.ndarray:
+    """All radix**width rows of width digits in [0, radix), in the order of
+    itertools.product (lexicographic, the first digit most significant)."""
+    digits = np.arange(radix, dtype=np.min_scalar_type(radix - 1))
+    rows = np.empty((radix ** width, width), dtype=digits.dtype)
+    for p in range(width):  # digit p is constant over runs of radix**(width-1-p) rows
+        rows.reshape(radix ** p, radix, -1, width)[..., p] = digits[:, None]
+    return rows
 
 
 def enumerate_strategies(kind: SchemeKind, n: int, k: int, m_files: int) -> StrategyAlphabet:
-    """Build the full alphabet in canonical (lexicographic) member order."""
+    """Build the full alphabet in canonical (lexicographic) member order.
+
+    ztsl: M-1 free digits in [0:n-1], then the one last digit that makes
+    the sum 0 mod n.  zyqt: M digits over P(n,k).  olr: M-1 digits over
+    P(n,k) whose implied column (-sum of the selectors) mod n has distinct
+    entries.  Entries take the smallest unsigned dtype that holds n-1.
+    """
     kind = SchemeKind(kind)
     if m_files < 1:
         raise ValueError("need at least one file")
     if kind is SchemeKind.ZTSL:
-        members = tuple(
-            v for v in product(range(n), repeat=m_files) if sum(v) % n == 0
-        )
-    elif kind is SchemeKind.ZYQT:
-        selectors = enumerate_pnk(n, k)
-        members = tuple(product(selectors, repeat=m_files))
-    elif kind is SchemeKind.OLR:
-        selectors = enumerate_pnk(n, k)
-        members = tuple(
-            tup
-            for tup in product(selectors, repeat=m_files - 1)
-            if _olr_implied_column(tup, n, k) is not None
-        )
-    else:  # pragma: no cover - SchemeKind() above rejects unknown kinds
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    return StrategyAlphabet(kind=kind, n=n, k=k, m_files=m_files, members=members)
-
-
-def _olr_implied_column(selectors, n: int, k: int):
-    """(-sum of selectors) mod n, or None if entries collide."""
-    entries = tuple(-sum(sel[i] for sel in selectors) % n for i in range(k))
-    if len(set(entries)) != len(entries):
-        return None
-    return entries
+        free = _digit_rows(n, m_files - 1)
+        sums = np.zeros(1, dtype=np.int64)  # the rows' digit sums, in the same order
+        for _ in range(m_files - 1):
+            sums = (sums[:, None] + np.arange(n)).ravel()
+        last = (-sums % n).astype(free.dtype)
+        array = np.concatenate([free, last[:, None]], axis=1)
+    else:
+        selectors = np.array([p.entries for p in enumerate_pnk(n, k)],
+                             dtype=np.min_scalar_type(n - 1))
+        n_sel = m_files - (kind is SchemeKind.OLR)
+        array = selectors[_digit_rows(len(selectors), n_sel)]
+        if kind is SchemeKind.OLR:
+            implied = np.sort(-array.sum(axis=1, dtype=np.int64) % n, axis=1)
+            array = array[(implied[:, 1:] != implied[:, :-1]).all(axis=1)]
+    array.setflags(write=False)
+    return StrategyAlphabet(kind=kind, n=n, k=k, m_files=m_files, array=array)
 
 
 def zyqt_size(n: int, k: int, m_files: int) -> int:
@@ -167,15 +191,11 @@ def _check_indices(inst: SchemeInstance, m: int, j: int):
         raise ValueError(f"server index {j} outside [1:{inst.n_servers}]")
 
 
-def strategy_array(inst: SchemeInstance, members=None) -> np.ndarray:
-    """Members (default: the alphabet) as int rows: (|S|, M) for ztsl,
-    (|S|, M, k) for zyqt and (|S|, M-1, k) for olr, whose M = 1 has none."""
-    members = inst.alphabet.members if members is None else members
-    if inst.kind is SchemeKind.ZTSL:
-        return np.array(members, dtype=np.int64).reshape(len(members), inst.m_files)
-    n_sel = inst.m_files - (inst.kind is SchemeKind.OLR)
-    rows = [[tuple(sel) for sel in s] for s in members]
-    return np.array(rows, dtype=np.int64).reshape(len(members), n_sel, inst.params.k)
+def strategy_array(inst: SchemeInstance) -> np.ndarray:
+    """The alphabet as int64 rows: (|S|, M) for ztsl, (|S|, M, k) for zyqt
+    and (|S|, M-1, k) for olr, whose M = 1 has none.  Widened from the
+    alphabet's unsigned entries, so that `query_rows` may subtract."""
+    return inst.alphabet.array.astype(np.int64)
 
 
 def query_rows(inst: SchemeInstance, m: int, strategies: np.ndarray, j: int) -> np.ndarray:
@@ -197,8 +217,11 @@ def query_rows(inst: SchemeInstance, m: int, strategies: np.ndarray, j: int) -> 
 
 
 def base_query(inst: SchemeInstance, m: int, s, j: int) -> QueryMatrix:
+    """Server j's base query for file m; s is a member or a row of the
+    alphabet's array."""
     _check_indices(inst, m, j)
-    rows = query_rows(inst, m, strategy_array(inst, [s]), j)[0]
+    strategy = np.asarray(s, dtype=np.int64).reshape((1,) + inst.alphabet.array.shape[1:])
+    rows = query_rows(inst, m, strategy, j)[0]
     return QueryMatrix(tuple(map(tuple, rows.tolist())))
 
 

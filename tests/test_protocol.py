@@ -242,6 +242,18 @@ def test_simulate_downloads_counts():
     assert again.total_downloaded == stats.total_downloaded
 
 
+def test_retrieval_and_simulation_leave_members_unbuilt():
+    """Both read strategies from the alphabet's array: ztsl (8,7,4) never
+    builds its 823,543 member tuples, and the array takes 8 bytes a member."""
+    inst, storage = build(SchemeKind.ZTSL, 8, 7, 4, q=7, seed=5)
+    alphabet = inst.alphabet
+    assert alphabet.size == 823_543
+    assert alphabet.array.nbytes <= 8 * 823_543
+    assert run_retrieval(inst, storage, 3, 411_111, 2).success
+    assert simulate_downloads(inst, [1] * alphabet.size, count=20, seed=1).count == 20
+    assert "members" not in vars(alphabet)
+
+
 def test_transcript_jsonl_round_trip():
     inst, storage = build(SchemeKind.OLR, seed=67)
     trs = [run_retrieval(inst, storage, m, 0, 1) for m in (1, 2)]

@@ -1,5 +1,8 @@
 """Tests for strategy alphabets, query encoders, answers, and time sharing."""
 import math
+from itertools import product
+
+import numpy as np
 
 import pytest
 
@@ -84,6 +87,105 @@ def test_olr_alphabet_3_2_m3():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         enumerate_strategies("xyz", 3, 2, 2)
+
+
+def _reference_members(kind, n, k, m_files):
+    """The alphabet walked member by member: itertools.product, then a filter."""
+    kind = SchemeKind(kind)
+    if m_files < 1:
+        raise ValueError("need at least one file")
+    if kind is SchemeKind.ZTSL:
+        return tuple(v for v in product(range(n), repeat=m_files) if sum(v) % n == 0)
+    selectors = enumerate_pnk(n, k)
+    if kind is SchemeKind.ZYQT:
+        return tuple(product(selectors, repeat=m_files))
+    return tuple(
+        tup for tup in product(selectors, repeat=m_files - 1)
+        if len({-sum(sel[i] for sel in tup) % n for i in range(k)}) == k
+    )
+
+
+def _reference_steps(kind, n, k, m_files):
+    """How many tuples the reference walks."""
+    if kind is SchemeKind.ZTSL:
+        return n ** m_files
+    return math.perm(n, k) ** (m_files - (kind is SchemeKind.OLR))
+
+
+def _check_alphabet(alpha, want):
+    """Same members in the same order, as array rows and as tuples."""
+    assert alpha.size == len(want)
+    assert alpha.array.dtype == np.uint8 and not alpha.array.flags.writeable
+    if alpha.kind is SchemeKind.ZTSL:
+        assert alpha.array.shape == (len(want), alpha.m_files)
+        assert alpha.array.tolist() == [list(v) for v in want]
+    else:
+        n_sel = alpha.m_files - (alpha.kind is SchemeKind.OLR)
+        assert alpha.array.shape == (len(want), n_sel, alpha.k)
+        assert alpha.array.tolist() == [[list(sel) for sel in v] for v in want]
+    assert alpha.members == want
+    element = int if alpha.kind is SchemeKind.ZTSL else PermSelector
+    assert all(type(e) is element for v in alpha.members for e in v)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_alphabet_matches_itertools_reference(kind):
+    """Every n <= 5, 1 <= k <= n and M <= 4 whose reference walks at most
+    20,000 tuples."""
+    checked = 0
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for m_files in range(1, 5):
+                if _reference_steps(kind, n, k, m_files) > 20_000:
+                    continue
+                _check_alphabet(enumerate_strategies(kind, n, k, m_files),
+                                _reference_members(kind, n, k, m_files))
+                checked += 1
+    assert checked >= 40
+
+
+def test_alphabet_edges():
+    olr = enumerate_strategies(SchemeKind.OLR, 3, 1, 1)
+    assert olr.members == ((),) and olr.array.shape == (1, 0, 1)
+    assert enumerate_strategies(SchemeKind.OLR, 3, 2, 1).members == ()
+    assert enumerate_strategies(SchemeKind.ZTSL, 4, 2, 1).members == ((0,),)
+    zyqt = enumerate_strategies(SchemeKind.ZYQT, 3, 2, 1)
+    assert zyqt.members == tuple((p,) for p in enumerate_pnk(3, 2))
+    for kind in SchemeKind:  # k = n
+        _check_alphabet(enumerate_strategies(kind, 3, 3, 3), _reference_members(kind, 3, 3, 3))
+    # ztsl never reads k, so k > n is accepted as before
+    _check_alphabet(enumerate_strategies(SchemeKind.ZTSL, 2, 3, 3),
+                    _reference_members(SchemeKind.ZTSL, 2, 3, 3))
+
+
+@pytest.mark.parametrize("args", [
+    ("xyz", 3, 2, 2), (SchemeKind.ZTSL, 3, 2, 0), (SchemeKind.ZYQT, 3, 2, 0),
+    (SchemeKind.OLR, 3, 2, -1), (SchemeKind.ZYQT, 2, 3, 2), (SchemeKind.OLR, 2, 3, 1),
+    (SchemeKind.ZYQT, 3, 0, 2),
+])
+def test_alphabet_errors_match_reference(args):
+    with pytest.raises(ValueError) as want:
+        _reference_members(*args)
+    with pytest.raises(ValueError) as got:
+        enumerate_strategies(*args)
+    assert str(got.value) == str(want.value)
+
+
+def test_members_are_built_on_first_use():
+    alpha = enumerate_strategies(SchemeKind.ZYQT, 3, 2, 2)
+    assert "members" not in vars(alpha)
+    assert alpha.members is alpha.members
+    assert "members" in vars(alpha)
+
+
+def test_schemes_compare_and_hash_by_parameters():
+    a, b = make_scheme(SchemeKind.OLR, 3, 5, 3), make_scheme(SchemeKind.OLR, 3, 5, 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.alphabet == b.alphabet and hash(a.alphabet) == hash(b.alphabet)
+    assert {a: "olr"}[b] == "olr"
+    assert a != make_scheme(SchemeKind.ZYQT, 3, 5, 3)
+    assert a != make_scheme(SchemeKind.OLR, 2, 5, 3)
+    assert a.alphabet != make_scheme(SchemeKind.OLR, 2, 5, 3).alphabet
 
 
 def test_make_scheme_uses_effective_params():
@@ -187,6 +289,20 @@ def test_query_rows_match_scalar_reference(instance):
             want = [[list(r) for r in zip(*_reference_columns(inst, m, s, j))]
                     for s in inst.alphabet.members]
             assert got == want
+
+
+@pytest.mark.parametrize("instance", [
+    (SchemeKind.ZYQT, 2, 3, 2), (SchemeKind.ZTSL, 3, 4, 2), (SchemeKind.OLR, 3, 3, 2),
+    (SchemeKind.OLR, 1, 4, 2),
+])
+def test_base_query_takes_member_or_array_row(instance):
+    inst = make_scheme(*instance)
+    assert strategy_array(inst).dtype == np.int64
+    assert strategy_array(inst).tolist() == inst.alphabet.array.tolist()
+    for s, row in zip(inst.alphabet.members, inst.alphabet.array):
+        for m in range(1, inst.m_files + 1):
+            for j in range(1, inst.n_servers + 1):
+                assert base_query(inst, m, row, j) == base_query(inst, m, s, j)
 
 
 def test_answer_length_frozen_cases():
