@@ -387,9 +387,8 @@ def simulate_downloads(
     counts: dict[int, dict[QueryMatrix, int]] = {
         j: {} for j in range(1, inst.n_servers + 1)
     }
-    strategies = inst.alphabet.array
     for si in s_indices:
-        s = strategies[si]
+        s = inst.alphabet.array[si]
         m = rng.randrange(1, inst.m_files + 1)
         t = rng.randrange(1, inst.n_servers + 1)
         for j in range(1, inst.n_servers + 1):

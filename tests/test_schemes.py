@@ -3,7 +3,6 @@ import math
 from itertools import product
 
 import numpy as np
-
 import pytest
 
 from wpir.fields import FieldMatrix, PrimeField
