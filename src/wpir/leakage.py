@@ -27,6 +27,7 @@ from scipy import sparse
 
 from .schemes import (
     QueryMatrix,
+    ResourceLimitError,
     SchemeInstance,
     answer_length,
     cyclic_shift,
@@ -39,10 +40,6 @@ DEFAULT_TABLE_GUARD = 1_500_000
 # seeds the random hash weights of color refinement; the partition it
 # returns does not depend on them
 _REFINE_SEED = 20140908
-
-
-class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured desk-scale budget."""
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 Minimizing maximal leakage under a download-cost cap is convex; because
 log2 is monotone it reduces to a linear program over the strategy PMF z
-with one epigraph variable per reachable query.  Each point is solved on
-that LP reduced by its coarsest equitable partition: one weight per class
-of strategies the LP cannot tell apart, one epigraph variable per class of
-queries, and one row per class of rows; the reduced LP has the full LP's
-optimum, and its answer lifts to a z constant on each class.  A second
-LP pass then pushes the download cost down to the lower envelope at the
-optimal leakage.  A brute-force simplex-grid search validates the LP from
-below.
+with one epigraph variable per reachable query.  One assembly builds that
+LP on any partition of the table's integer epigraph matrix: the matrix
+summed over each column class, one representative row per row class.
+The full LP is its discrete case.  Each point is solved on the coarsest
+equitable partition: one weight per class of strategies the LP cannot
+tell apart, one epigraph variable per class of queries, and one row per
+class of rows; that LP has the full LP's optimum, and its answer lifts to
+a z constant on each class.  A second LP pass then pushes the download
+cost down to the lower envelope at the optimal leakage.  A brute-force
+simplex-grid search validates the LP from below.
 """
 from __future__ import annotations
 
@@ -89,42 +91,12 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     Stacks t_q >= P(q|m)(z) for every query and file, the cost cap, and
     the PMF normalization; log2 of the optimal objective is the leakage.
     Row qi*M + m-1 is the table's count row over N followed by -1 on t_q.
+    It is _assemble on the discrete partition.
     """
     table = shared_table(tables)
-    counts = table.counts
-    n_z = table.alphabet_size
-    n_t = len(table.queries)
-    n_rows = counts.shape[0]
-    ends = counts.indptr[1:]
-    epigraph_cols = n_z + np.arange(n_rows) // table.m_files
-    cost = _cost_vector(cost_form, n_z)
-    cost_cols = np.flatnonzero(cost)
-    data = np.concatenate(
-        [np.insert(counts.data / table.n_servers, ends, -1.0), cost[cost_cols]]
-    )
-    indices = np.concatenate(
-        [np.insert(counts.indices, ends, epigraph_cols), cost_cols]
-    )
-    indptr = np.concatenate([counts.indptr + np.arange(n_rows + 1), [data.size]])
-    a_ub = sparse.csr_matrix(
-        (data, indices, indptr), shape=(n_rows + 1, n_z + n_t)
-    )
-    b_ub = np.full(n_rows + 1, -0.0)
-    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
-    a_eq = sparse.csr_matrix(
-        (np.ones(n_z), (np.zeros(n_z, dtype=int), np.arange(n_z))),
-        shape=(1, n_z + n_t),
-        dtype=float,
-    )
-    c = np.concatenate([np.zeros(n_z), np.ones(n_t)])
-    return LpProblem(
-        n_z=n_z,
-        c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=np.array([1.0]),
-    )
+    n_rows, n_z = table.counts.shape
+    return _assemble(table, np.arange(n_rows), np.arange(n_z + len(table.queries)),
+                     cost_form, d_target).problem
 
 
 def _with_leakage_cap(p: LpProblem, cap: float) -> LpProblem:
@@ -177,7 +149,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
 
 @dataclass(frozen=True)
 class ReducedLp:
-    """The epigraph LP on the classes of an equitable partition.
+    """The epigraph LP on the classes of a partition.
 
     x = P w: every strategy of class C has probability w[C], and every
     query of a class shares one epigraph variable.  `strategy_class[s]`
@@ -195,8 +167,7 @@ class ReducedLp:
 
 def _cost_classes(table: ConditionalQueryTable, cost_form: LinearForm):
     """The table's partition, refined once more with the cost row unless
-    the cost form is already constant on its strategy classes, and the
-    cost coefficient of each strategy class."""
+    the cost form is already constant on its strategy classes."""
     rows, cols = table.classes
     n_z = table.alphabet_size
     zero = Fraction(0)
@@ -211,45 +182,53 @@ def _cost_classes(table: ConditionalQueryTable, cost_form: LinearForm):
         rows, cols = equitable_partition(sparse.vstack([epigraph_matrix(table), cost_row]),
                                          np.append(rows, rows.max() + 1), cols)
         rows = rows[:-1]
-        first = np.unique(cols[:n_z], return_index=True)[1]
-    return rows, cols, [coeffs[r] for r in first.tolist()]
+    return rows, cols
 
 
-def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
-    """reformulate's LP on the classes of its coarsest equitable partition,
-    with one representative count row per row class, in row order, then
-    the cost cap."""
-    table = shared_table(tables)
-    rows, cols, class_coeffs = _cost_classes(table, cost_form)
+def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm,
+              d_target) -> ReducedLp:
+    """The epigraph LP on a partition of epigraph_matrix(table): `rows`
+    labels its rows and `cols` its columns, strategy classes first.
+
+    The matrix is summed over each column class; one representative row
+    per row class, in row order, over N, then the cost cap, make a_ub.
+    """
     n_z = table.alphabet_size
     strategy_class = cols[:n_z]
-    n_w = len(class_coeffs)
-    sizes = np.bincount(cols).tolist()
-    cost = [n * c for n, c in zip(sizes, class_coeffs)]
-    by_class = (table.counts @ class_indicator(strategy_class)).tocsr()
-    reps = np.unique(rows, return_index=True)[1]
-    sub = by_class[reps]
-    ends = sub.indptr[1:]
+    sizes = np.bincount(cols)
+    first = np.unique(strategy_class, return_index=True)[1]
+    n_w = first.size
+    cost = [n * cost_form.coefficient(s) for n, s in zip(sizes[:n_w].tolist(), first.tolist())]
+    summed = (epigraph_matrix(table) @ class_indicator(cols)).tocsr()
+    summed.sort_indices()
+    sub = summed[np.unique(rows, return_index=True)[1]]
     cost_cols = np.flatnonzero(cost)
-    data = np.concatenate([np.insert(sub.data / table.n_servers, ends, -1.0),
-                           [float(cost[i]) for i in cost_cols]])
-    indices = np.concatenate([np.insert(sub.indices, ends, cols[n_z + reps // table.m_files]),
-                              cost_cols])
-    indptr = np.concatenate([sub.indptr + np.arange(len(reps) + 1), [data.size]])
-    n_vars = len(sizes)
-    b_ub = np.full(len(reps) + 1, -0.0)
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([sub.data / table.n_servers, [float(cost[i]) for i in cost_cols]]),
+         np.concatenate([sub.indices, cost_cols]),
+         np.append(sub.indptr, sub.nnz + cost_cols.size)),
+        shape=(sub.shape[0] + 1, sizes.size),
+    )
+    b_ub = np.full(a_ub.shape[0], -0.0)
     b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
-    weights = np.array(sizes, dtype=float)
+    weights = sizes.astype(float)
     problem = LpProblem(
         n_z=n_w,
         c=np.concatenate([np.zeros(n_w), weights[n_w:]]),
-        a_ub=sparse.csr_matrix((data, indices, indptr), shape=(len(reps) + 1, n_vars)),
+        a_ub=a_ub,
         b_ub=b_ub,
-        a_eq=sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(n_vars - n_w)])),
+        a_eq=sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(sizes.size - n_w)])),
         b_eq=np.array([1.0]),
     )
-    return ReducedLp(problem=problem, strategy_class=strategy_class, sizes=sizes[:n_w],
-                     cost=cost, by_class=by_class)
+    return ReducedLp(problem=problem, strategy_class=strategy_class,
+                     sizes=sizes[:n_w].tolist(), cost=cost, by_class=summed[:, :n_w])
+
+
+def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
+    """reformulate's LP on its coarsest equitable partition, refined by
+    the cost form where it must be (_cost_classes)."""
+    table = shared_table(tables)
+    return _assemble(table, *_cost_classes(table, cost_form), cost_form, d_target)
 
 
 @dataclass(frozen=True)

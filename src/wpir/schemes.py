@@ -24,6 +24,14 @@ import numpy as np
 from .storage import EffectiveParams, effective_params
 
 
+# largest alphabet array row count enumerated before olr's filter
+DEFAULT_ALPHABET_GUARD = 1_000_000
+
+
+class ResourceLimitError(RuntimeError):
+    """An enumeration would exceed the configured desk-scale budget."""
+
+
 class SchemeKind(str, Enum):
     ZYQT = "zyqt"
     ZTSL = "ztsl"
@@ -108,6 +116,7 @@ def enumerate_strategies(kind: SchemeKind, n: int, k: int, m_files: int) -> Stra
     kind = SchemeKind(kind)
     if m_files < 1:
         raise ValueError("need at least one file")
+    _check_alphabet_budget(kind, n, k, m_files)
     if kind is SchemeKind.ZTSL:
         free = _digit_rows(n, m_files - 1)
         sums = np.zeros(1, dtype=np.int64)  # the rows' digit sums, in the same order
@@ -133,6 +142,19 @@ def zyqt_size(n: int, k: int, m_files: int) -> int:
 
 def ztsl_size(n: int, m_files: int) -> int:
     return n ** (m_files - 1)
+
+
+def _check_alphabet_budget(kind: SchemeKind, n: int, k: int, m_files: int) -> None:
+    """Refuse an alphabet whose array build would enumerate more than
+    DEFAULT_ALPHABET_GUARD rows (read at call time): P(n,k)^M for zyqt,
+    n^(M-1) for ztsl and P(n,k)^(M-1) for olr before its filter."""
+    if kind is SchemeKind.ZTSL:
+        rows = ztsl_size(n, m_files)
+    else:
+        rows = zyqt_size(n, k, m_files - (kind is SchemeKind.OLR))
+    if rows > DEFAULT_ALPHABET_GUARD:
+        raise ResourceLimitError(f"{kind.value} alphabet enumeration needs {rows} rows "
+                                 f"(n={n}, k={k}, M={m_files}), budget {DEFAULT_ALPHABET_GUARD}")
 
 
 @dataclass(frozen=True)

@@ -390,6 +390,16 @@ def test_table_server_out_of_range_rejected_before_alphabet(monkeypatch, capsys)
         assert f"server {server} outside [1:3]" in capsys.readouterr().err
 
 
+def test_enumerate_refuses_alphabet_over_budget_before_allocating(monkeypatch, capsys):
+    """olr (4,7,4) would filter 840^3 selector triples, about 10 GB of rows."""
+    built = []
+    monkeypatch.setattr("wpir.schemes._digit_rows", lambda *args: built.append(args))
+    code, out = run_cli(["enumerate", "--scheme", "olr", "--files", "4", "--servers", "7",
+                         "--dim", "4"])
+    assert (code, out, built) == (2, "", [])
+    assert "olr alphabet enumeration needs 592704000 rows" in capsys.readouterr().err
+
+
 def test_public_names_resolve():
     for name in wpir.__all__:
         getattr(wpir, name)  # raises AttributeError for a stale name

@@ -440,3 +440,36 @@ def test_solve_lp_rejects_duality_gap(monkeypatch):
     monkeypatch.setattr("wpir.optimizer.linprog", skewed)
     with pytest.raises(RuntimeError, match="duality gap"):
         solve_lp(p)
+
+
+_CAPACITY = ([(kind, *p) for kind in SchemeKind for p in ((2, 3, 2), (2, 5, 3), (3, 3, 2))]
+             + [(SchemeKind.ZYQT, 4, 3, 2), (SchemeKind.OLR, 3, 5, 3)])
+
+
+@pytest.mark.parametrize("instance", _CAPACITY,
+                         ids=lambda i: f"{i[0].value}-{i[1]}-{i[2]}-{i[3]}")
+def test_zero_leakage_starts_at_mds_pir_capacity(instance):
+    """Zero leakage (V = 1) is first reached at the capacity of PIR from
+    MDS-coded storage, C = (1 - K/N) / (1 - (K/N)^M) (Banawan & Ulukus):
+    exactly at D = lam K / C, and not 1/100 below it."""
+    inst, tables, cost = setup_scheme(*instance)
+    kind, m_files, n_servers, dim = instance
+    ratio = F(dim, n_servers)
+    capacity = (1 - ratio) / (1 - ratio ** m_files)
+    d = inst.params.lam * dim / capacity
+    pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, dim)
+    assert (pt.leakage_sum, pt.rate) == (1, capacity)
+    below = solve_tradeoff_point(tables, cost, d - F(1, 100), inst.params.lam, dim)
+    assert below.leakage_sum > 1
+
+
+@pytest.mark.parametrize("n_servers, dim", [(3, 2), (5, 3), (4, 2), (4, 3)])
+def test_olr_and_zyqt_frontiers_equal_exactly_at_two_files(n_servers, dim):
+    sweeps = []
+    for kind in (SchemeKind.OLR, SchemeKind.ZYQT):
+        inst, tables, cost = setup_scheme(kind, 2, n_servers, dim)
+        grid = default_grid(cost, inst.alphabet.size, 9)
+        sums = [solve_tradeoff_point(tables, cost, d, inst.params.lam, dim).leakage_sum
+                for d in grid]
+        sweeps.append((grid, sums))
+    assert sweeps[0] == sweeps[1]

@@ -8,6 +8,8 @@ import pytest
 from wpir.fields import FieldMatrix, PrimeField
 from wpir.mds import make_rs_code
 from wpir.schemes import (
+    DEFAULT_ALPHABET_GUARD,
+    ResourceLimitError,
     PermSelector,
     QueryMatrix,
     SchemeKind,
@@ -168,6 +170,25 @@ def test_alphabet_errors_match_reference(args):
     with pytest.raises(ValueError) as got:
         enumerate_strategies(*args)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind, m_files, rows", [
+    (SchemeKind.ZYQT, 2, zyqt_size(3, 2, 2)), (SchemeKind.ZTSL, 3, ztsl_size(3, 3)),
+    (SchemeKind.OLR, 3, zyqt_size(3, 2, 2)),
+])
+def test_alphabet_guard_counts_rows_before_the_filter(monkeypatch, kind, m_files, rows):
+    """P(n,k)^M rows for zyqt, n^(M-1) for ztsl and P(n,k)^(M-1) for olr
+    are admitted at the budget and refused one above it."""
+    monkeypatch.setattr("wpir.schemes.DEFAULT_ALPHABET_GUARD", rows)
+    enumerate_strategies(kind, 3, 2, m_files)
+    monkeypatch.setattr("wpir.schemes.DEFAULT_ALPHABET_GUARD", rows - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {rows} rows"):
+        enumerate_strategies(kind, 3, 2, m_files)
+
+
+def test_alphabet_guard_admits_the_largest_built_alphabet():
+    """ztsl (8,7,4), the retrieval benchmark's instance, has 7^7 members."""
+    assert ztsl_size(7, 8) == 823_543 <= DEFAULT_ALPHABET_GUARD
 
 
 def test_members_are_built_on_first_use():
