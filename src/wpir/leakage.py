@@ -40,6 +40,7 @@ DEFAULT_TABLE_GUARD = 1_500_000
 # seeds the random hash weights of color refinement; the partition it
 # returns does not depend on them
 _REFINE_SEED = 20140908
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,29 @@ class LinearForm:
         )
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
+        return self.coeffs.get(i, _ZERO)
+
+    def _extreme(self, size: int, pick) -> Fraction:
+        """pick (min or max) over the coefficients of z_0 .. z_{size-1},
+        the absent ones counted once as 0."""
+        values = [c for i, c in self.coeffs.items() if i < size]
+        if len(values) < size:
+            values.append(_ZERO)
+        return pick(values)
 
     def affine_on_simplex(self, size: int) -> "LinearForm":
         """Equivalent form on the simplex with the smallest coefficient
         folded into the constant (z sums to 1, so c*z == c_min + (c-c_min)*z)."""
-        lo = min(self.coefficient(i) for i in range(size))
-        coeffs = {
-            i: c - lo for i, c in sorted(self.coeffs.items()) if c != lo
-        }
+        every = [self.coefficient(i) for i in range(size)]
+        lo = min(every)
+        coeffs = {i: c - lo for i, c in enumerate(every) if c != lo}
         return LinearForm(coeffs=coeffs, constant=self.constant + lo)
 
     def min_on_simplex(self, size: int) -> Fraction:
-        return self.constant + min(self.coefficient(i) for i in range(size))
+        return self.constant + self._extreme(size, min)
 
     def max_on_simplex(self, size: int) -> Fraction:
-        return self.constant + max(self.coefficient(i) for i in range(size))
+        return self.constant + self._extreme(size, max)
 
 
 def as_pmf(values, size: int) -> tuple[Fraction, ...]:
@@ -153,6 +161,13 @@ class ConditionalQueryTable:
         cost = _download_numerators(self)
         cols = np.concatenate([cost, np.full(len(self.queries), cost.max() + 1)])
         return equitable_partition(epigraph_matrix(self), rows, cols)
+
+    @cached_property
+    def reductions(self) -> dict:
+        """The trade-off LPs reduced on this table (optimizer.reduce_lp):
+        id(cost form) -> (cost form, reduced LP).  Each entry holds its
+        form, so that id is not reused while the entry lives."""
+        return {}
 
     def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:
         """P(q | m) as a linear form; m is 1-based."""
@@ -371,14 +386,14 @@ def download_cost_form(tables) -> LinearForm:
     probability, folded to canonical affine form on the simplex.
 
     All servers share one table, so D is N times server 1's sum of
-    len(q) * count / (N M): integer numerators over M.
+    len(q) * count / (N M): integer numerators over M.  The smallest
+    numerator is folded into the constant before any Fraction is built.
     """
     table = shared_table(tables)
-    coeffs = {
-        i: Fraction(v, table.m_files)
-        for i, v in enumerate(_download_numerators(table).tolist()) if v
-    }
-    return LinearForm(coeffs=coeffs).affine_on_simplex(table.alphabet_size)
+    numerators = _download_numerators(table).tolist()
+    lo, m = min(numerators), table.m_files
+    coeffs = {i: Fraction(v - lo, m) for i, v in enumerate(numerators) if v != lo}
+    return LinearForm(coeffs=coeffs, constant=Fraction(lo, m))
 
 
 def serialize_query(q: QueryMatrix) -> str:

@@ -9,14 +9,17 @@ The full LP is its discrete case.  Each point is solved on the coarsest
 equitable partition: one weight per class of strategies the LP cannot
 tell apart, one epigraph variable per class of queries, and one row per
 class of rows; that LP has the full LP's optimum, and its answer lifts to
-a z constant on each class.  A second LP pass then pushes the download
-cost down to the lower envelope at the optimal leakage.  A brute-force
-simplex-grid search validates the LP from below.
+a z constant on each class.  That reduced LP is built once per table and
+cost form, and each cost target of a sweep only sets its cap.  A second
+LP pass then pushes the download cost down to the lower envelope at the
+optimal leakage.  The exact re-check sums one representative query per
+query class, weighted by the class size.  A brute-force simplex-grid
+search validates the LP from below.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -95,8 +98,8 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     """
     table = shared_table(tables)
     n_rows, n_z = table.counts.shape
-    return _assemble(table, np.arange(n_rows), np.arange(n_z + len(table.queries)),
-                     cost_form, d_target).problem
+    red = _assemble(table, np.arange(n_rows), np.arange(n_z + len(table.queries)), cost_form)
+    return _capped(red, cost_form, d_target).problem
 
 
 def _with_leakage_cap(p: LpProblem, cap: float) -> LpProblem:
@@ -153,9 +156,12 @@ class ReducedLp:
 
     x = P w: every strategy of class C has probability w[C], and every
     query of a class shares one epigraph variable.  `strategy_class[s]`
-    is s's class, `sizes[C]` its number of members, `cost[C]` the cost
-    form's summed coefficients over C, and `by_class` the table's count
-    rows summed over each class.
+    is s's class, `sizes[C]` its number of members, and `cost[C]` the
+    cost form's summed coefficients over C.  `by_class` holds, for each
+    query class, the M count rows of its first query summed over each
+    strategy class and times the query class's size: every query of a
+    class meets the same number of rows of each row class, so it has the
+    same largest P(q|m), and the per-query maxima sum as over all rows.
     """
 
     problem: LpProblem
@@ -185,15 +191,15 @@ def _cost_classes(table: ConditionalQueryTable, cost_form: LinearForm):
     return rows, cols
 
 
-def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm,
-              d_target) -> ReducedLp:
+def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -> ReducedLp:
     """The epigraph LP on a partition of epigraph_matrix(table): `rows`
     labels its rows and `cols` its columns, strategy classes first.
 
     The matrix is summed over each column class; one representative row
-    per row class, in row order, over N, then the cost cap, make a_ub.
+    per row class, in row order, over N, then the cost row, make a_ub.
+    Its cap, the last entry of b_ub, is left at 0 for _capped to set.
     """
-    n_z = table.alphabet_size
+    n_z, m = table.alphabet_size, table.m_files
     strategy_class = cols[:n_z]
     sizes = np.bincount(cols)
     first = np.unique(strategy_class, return_index=True)[1]
@@ -209,26 +215,40 @@ def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm,
          np.append(sub.indptr, sub.nnz + cost_cols.size)),
         shape=(sub.shape[0] + 1, sizes.size),
     )
-    b_ub = np.full(a_ub.shape[0], -0.0)
-    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
     weights = sizes.astype(float)
     problem = LpProblem(
         n_z=n_w,
         c=np.concatenate([np.zeros(n_w), weights[n_w:]]),
         a_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.full(a_ub.shape[0], -0.0),
         a_eq=sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(sizes.size - n_w)])),
         b_eq=np.array([1.0]),
     )
+    queries = np.unique(cols[n_z:], return_index=True)[1]
+    by_class = summed[(queries[:, None] * m + np.arange(m)).ravel(), :n_w]
+    by_class.data *= np.repeat(np.repeat(sizes[n_w:], m), np.diff(by_class.indptr))
     return ReducedLp(problem=problem, strategy_class=strategy_class,
-                     sizes=sizes[:n_w].tolist(), cost=cost, by_class=summed[:, :n_w])
+                     sizes=sizes[:n_w].tolist(), cost=cost, by_class=by_class)
+
+
+def _capped(red: ReducedLp, cost_form: LinearForm, d_target) -> ReducedLp:
+    """red with the cost cap at d_target, on a b_ub of its own: the rest
+    of red is shared with every other target."""
+    b_ub = red.problem.b_ub.copy()
+    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
+    return replace(red, problem=replace(red.problem, b_ub=b_ub))
 
 
 def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
     """reformulate's LP on its coarsest equitable partition, refined by
-    the cost form where it must be (_cost_classes)."""
+    the cost form where it must be (_cost_classes).  The LP is built once
+    per table and cost form; each target only sets its cap."""
     table = shared_table(tables)
-    return _assemble(table, *_cost_classes(table, cost_form), cost_form, d_target)
+    memo = table.reductions
+    if id(cost_form) not in memo:
+        memo[id(cost_form)] = (cost_form, _assemble(table, *_cost_classes(table, cost_form),
+                                                    cost_form))
+    return _capped(memo[id(cost_form)][1], cost_form, d_target)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ from wpir.leakage import (
     build_all_tables,
     build_query_table,
     check_equitable,
+    class_indicator,
     download_cost_form,
     epigraph_matrix,
+    leakage_at,
     maxl,
     normalize_pmf,
     uniform_pmf,
@@ -179,6 +181,11 @@ def test_reduced_lp_optimum_equals_full_lp(instance):
     assert not solve_lp(reduce_lp(tables, cost, d).problem).is_optimal
 
 
+# a cost form on zyqt (3,3,2) that splits strategy classes, and its targets
+_OFF_CLASS = LinearForm(coeffs={0: F(3), 5: F(1, 2)}, constant=F(1))
+_OFF_CLASS_TARGETS = (F(1), F(5, 4), F(3, 2), F(4))
+
+
 def test_cost_form_off_the_classes_refines_them():
     """A cost form that splits a strategy class is refined in, and the
     reduced optimum still equals the full LP's at both stages."""
@@ -186,10 +193,10 @@ def test_cost_form_off_the_classes_refines_them():
     size = inst.alphabet.size
     strategy_class = tables[0].classes[1][:size]
     assert np.bincount(strategy_class).max() > 1
-    cost = LinearForm(coeffs={0: F(3), 5: F(1, 2)}, constant=F(1))
+    cost = _OFF_CLASS
     red = reduce_lp(tables, cost, F(3, 2))
     assert len(red.sizes) > strategy_class.max() + 1
-    for d in (F(1), F(5, 4), F(3, 2), F(4)):
+    for d in _OFF_CLASS_TARGETS:
         full = reformulate(tables, cost, d)
         reduced = reduce_lp(tables, cost, d).problem
         for _ in range(2):
@@ -233,6 +240,94 @@ def test_partition_computed_once_per_sweep(monkeypatch):
     for d in default_grid(cost, inst.alphabet.size, 9):
         solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
     assert len(calls) == 1
+
+
+def test_reduction_built_once_per_sweep(monkeypatch):
+    calls = []
+    for name in ("_cost_classes", "_assemble"):
+        real = getattr(optimizer, name)
+        monkeypatch.setattr(f"wpir.optimizer.{name}",
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    for d in default_grid(cost, inst.alphabet.size, 9):
+        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+    assert calls == ["_cost_classes", "_assemble"]
+
+
+def _lp_bytes(p):
+    return [p.c.tobytes(), p.b_eq.tobytes()] + [
+        getattr(a, part).tobytes() for a in (p.a_ub, p.a_eq)
+        for part in ("data", "indices", "indptr")]
+
+
+def test_targets_differ_only_in_the_cap():
+    """Two targets share every LP array but b_ub, whose last entry alone
+    differs; solving a whole sweep leaves the shared arrays as they were."""
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    grid = default_grid(cost, inst.alphabet.size, 9)
+    a, b = (reduce_lp(tables, cost, d).problem for d in (grid[2], grid[6]))
+    before = _lp_bytes(a)
+    assert _lp_bytes(b) == before
+    assert a.b_ub is not b.b_ub
+    assert a.b_ub[:-1].tobytes() == b.b_ub[:-1].tobytes()
+    assert (a.b_ub[-1], b.b_ub[-1]) == tuple(float(d - cost.constant) for d in (grid[2], grid[6]))
+    for d in grid:
+        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+    assert _lp_bytes(reduce_lp(tables, cost, grid[2]).problem) == before
+    assert reduce_lp(tables, cost, grid[2]).problem.b_ub.tobytes() == a.b_ub.tobytes()
+
+
+def test_reverse_sweep_equals_fresh_forward_sweep():
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    grid = default_grid(cost, inst.alphabet.size, 9)
+    backward = [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+                for d in reversed(grid)]
+    assert backward[::-1] == _sweep_on((SchemeKind.ZYQT, 3, 3, 2), grid)
+
+
+def _sweep_on(instance, grid, form=None):
+    """One point per target on freshly built tables, with the download
+    cost form unless another is given."""
+    inst, tables, cost = setup_scheme(*instance)
+    return [solve_tradeoff_point(tables, form or cost, d, inst.params.lam, inst.dim)
+            for d in grid]
+
+
+def test_alternating_cost_forms_match_fresh_tables():
+    """One table serves two cost forms, each keyed by its own reduction."""
+    instance = (SchemeKind.ZYQT, 3, 3, 2)
+    inst, tables, cost = setup_scheme(*instance)
+    download = default_grid(cost, inst.alphabet.size, len(_OFF_CLASS_TARGETS))
+    got = {id(cost): [], id(_OFF_CLASS): []}
+    for d, e in zip(download, _OFF_CLASS_TARGETS):
+        for form, target in ((cost, d), (_OFF_CLASS, e)):
+            got[id(form)].append(
+                solve_tradeoff_point(tables, form, target, inst.params.lam, inst.dim))
+    assert got[id(cost)] == _sweep_on(instance, download)
+    assert got[id(_OFF_CLASS)] == _sweep_on(instance, _OFF_CLASS_TARGETS, _OFF_CLASS)
+    assert len(tables[0].reductions) == 2
+
+
+@pytest.mark.parametrize("instance, form", [(i, None) for i in _REDUCED]
+                         + [((SchemeKind.ZYQT, 3, 3, 2), _OFF_CLASS)],
+                         ids=[f"{i[0].value}-{i[1]}" for i in _REDUCED] + ["zyqt-3-off-class"])
+def test_representative_recheck_equals_full_rows(instance, form):
+    """leakage_at on one scaled query per class equals leakage_at on every
+    count row, at the class weights each target solves to."""
+    inst, tables, cost = setup_scheme(*instance)
+    cost = form or cost
+    table = tables[0]
+    targets = _OFF_CLASS_TARGETS if form else default_grid(cost, inst.alphabet.size, 7)
+    for d in targets:
+        red = reduce_lp(tables, cost, d)
+        sol = solve_lp(red.problem)
+        w = optimizer._class_pmf(sol.x, red.sizes)
+        common = math.lcm(*(v.denominator for v in w))
+        numerators = [v.numerator * (common // v.denominator) for v in w]
+        every_row = (table.counts @ class_indicator(red.strategy_class)).tocsr()
+        assert red.by_class.shape[0] < every_row.shape[0]
+        assert leakage_at(table, red.by_class, numerators, common) == leakage_at(
+            table, every_row, numerators, common)
 
 
 def _per_strategy_point(table, cost, d, x, lam, dim):
