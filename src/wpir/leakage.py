@@ -6,8 +6,8 @@ count over N: P(q|m) at strategy s is the number of shifts t that send
 sparse integer matrix, and every server's table is the same, so the
 analysis builds server 1's alone, in one pass: one `np.unique` over the
 bytes of every (m, s, t) query numbers the queries.  The cost form, the
-LP rows, their coarsest equitable partition and the exact leakage are all
-assembled from the counts;
+LP rows and the exact leakage are all assembled from the counts, and the
+optimizer partitions those rows per cost form (equitable_partition);
 `Fraction` appears only in the exact re-check and in the linear-form
 views that the table CSV prints.  Floats appear only when taking the
 final log.  Leakage is log2 of the sum, over reachable queries, of the
@@ -148,25 +148,11 @@ class ConditionalQueryTable:
         return MappingProxyType(dict(zip(self.queries, self.answer_lengths.tolist())))
 
     @cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coarsest equitable partition of the epigraph matrix's rows and
-        columns (see equitable_partition): strategies then queries.
-
-        Strategies start colored by their download cost, so the download
-        cost form is constant on every strategy class.  The LP's all-ones
-        normalization row and its [0, 1] bounds are the same on every
-        strategy, so they split no class and are left out.
-        """
-        rows = np.zeros(self.counts.shape[0], dtype=np.int64)
-        cost = _download_numerators(self)
-        cols = np.concatenate([cost, np.full(len(self.queries), cost.max() + 1)])
-        return equitable_partition(epigraph_matrix(self), rows, cols)
-
-    @cached_property
     def reductions(self) -> dict:
-        """The trade-off LPs reduced on this table (optimizer.reduce_lp):
-        id(cost form) -> (cost form, reduced LP).  Each entry holds its
-        form, so that id is not reused while the entry lives."""
+        """The trade-off LPs reduced on this table (optimizer.reduce_lp),
+        each on the partition of its own cost form: id(cost form) ->
+        (cost form, reduced LP).  Each entry holds its form, so that id is
+        not reused while the entry lives."""
         return {}
 
     def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:
@@ -376,11 +362,6 @@ def leakage_at(table: ConditionalQueryTable, counts, numerators, common: int) ->
     )
 
 
-def _download_numerators(table: ConditionalQueryTable) -> np.ndarray:
-    """Each strategy's sum of len(q) * count over the count rows."""
-    return table.counts.T @ np.repeat(table.answer_lengths, table.m_files)
-
-
 def download_cost_form(tables) -> LinearForm:
     """D(z) = sum over the N servers and their queries of length * marginal
     probability, folded to canonical affine form on the simplex.
@@ -390,7 +371,7 @@ def download_cost_form(tables) -> LinearForm:
     numerator is folded into the constant before any Fraction is built.
     """
     table = shared_table(tables)
-    numerators = _download_numerators(table).tolist()
+    numerators = (table.counts.T @ np.repeat(table.answer_lengths, table.m_files)).tolist()
     lo, m = min(numerators), table.m_files
     coeffs = {i: Fraction(v - lo, m) for i, v in enumerate(numerators) if v != lo}
     return LinearForm(coeffs=coeffs, constant=Fraction(lo, m))

@@ -171,24 +171,21 @@ class ReducedLp:
     by_class: sparse.csr_matrix
 
 
-def _cost_classes(table: ConditionalQueryTable, cost_form: LinearForm):
-    """The table's partition, refined once more with the cost row unless
-    the cost form is already constant on its strategy classes."""
-    rows, cols = table.classes
-    n_z = table.alphabet_size
-    zero = Fraction(0)
-    coeffs = [cost_form.coeffs.get(i, zero) for i in range(n_z)]
-    first = np.unique(cols[:n_z], return_index=True)[1]
-    if any(c != coeffs[r] for c, r in zip(coeffs, first[cols[:n_z]].tolist())):
-        # the cost row in integers: equal codes for equal coefficients
-        ids = {}
-        codes = [ids.setdefault(c, len(ids) + 1) for c in coeffs]
-        cost_row = sparse.csr_matrix((codes, (np.zeros(n_z, dtype=int), np.arange(n_z))),
-                                     shape=(1, cols.size), dtype=np.int64)
-        rows, cols = equitable_partition(sparse.vstack([epigraph_matrix(table), cost_row]),
-                                         np.append(rows, rows.max() + 1), cols)
-        rows = rows[:-1]
-    return rows, cols
+def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
+    """Coarsest equitable partition of epigraph_matrix(table) on which the
+    cost form is constant (equitable_partition).
+
+    Strategies start colored by their cost coefficient, an absent one as
+    0, and the queries share one color of their own.  The LP's all-ones
+    normalization row and its [0, 1] bounds are the same on every
+    strategy, so they split no class and are left out.
+    """
+    ids = {}
+    codes = [ids.setdefault((c.numerator, c.denominator), len(ids))
+             for c in map(cost_form.coefficient, range(table.alphabet_size))]
+    cols = np.array(codes + [len(ids)] * len(table.queries))
+    return equitable_partition(epigraph_matrix(table),
+                               np.zeros(table.counts.shape[0], dtype=np.int64), cols)
 
 
 def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -> ReducedLp:
@@ -240,13 +237,13 @@ def _capped(red: ReducedLp, cost_form: LinearForm, d_target) -> ReducedLp:
 
 
 def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
-    """reformulate's LP on its coarsest equitable partition, refined by
-    the cost form where it must be (_cost_classes).  The LP is built once
-    per table and cost form; each target only sets its cap."""
+    """reformulate's LP on the coarsest equitable partition on which the
+    cost form is constant (_partition).  The LP is built once per table
+    and cost form; each target only sets its cap."""
     table = shared_table(tables)
     memo = table.reductions
     if id(cost_form) not in memo:
-        memo[id(cost_form)] = (cost_form, _assemble(table, *_cost_classes(table, cost_form),
+        memo[id(cost_form)] = (cost_form, _assemble(table, *_partition(table, cost_form),
                                                     cost_form))
     return _capped(memo[id(cost_form)][1], cost_form, d_target)
 

@@ -186,16 +186,24 @@ _OFF_CLASS = LinearForm(coeffs={0: F(3), 5: F(1, 2)}, constant=F(1))
 _OFF_CLASS_TARGETS = (F(1), F(5, 4), F(3, 2), F(4))
 
 
+def _constant_on(form, strategy_class):
+    """Whether the form's coefficients agree within every strategy class."""
+    seen = {}
+    return all(seen.setdefault(c, form.coefficient(s)) == form.coefficient(s)
+               for s, c in enumerate(strategy_class.tolist()))
+
+
 def test_cost_form_off_the_classes_refines_them():
-    """A cost form that splits a strategy class is refined in, and the
-    reduced optimum still equals the full LP's at both stages."""
-    inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
-    size = inst.alphabet.size
-    strategy_class = tables[0].classes[1][:size]
+    """A cost form that splits a strategy class of the download form gets
+    classes of its own, and the reduced optimum still equals the full LP's
+    at both stages."""
+    inst, tables, download = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    strategy_class = reduce_lp(tables, download, F(3)).strategy_class
     assert np.bincount(strategy_class).max() > 1
+    assert _constant_on(download, strategy_class)
     cost = _OFF_CLASS
-    red = reduce_lp(tables, cost, F(3, 2))
-    assert len(red.sizes) > strategy_class.max() + 1
+    assert not _constant_on(cost, strategy_class)
+    assert _constant_on(cost, reduce_lp(tables, cost, F(3, 2)).strategy_class)
     for d in _OFF_CLASS_TARGETS:
         full = reformulate(tables, cost, d)
         reduced = reduce_lp(tables, cost, d).problem
@@ -212,10 +220,10 @@ def test_cost_form_off_the_classes_refines_them():
 @pytest.mark.parametrize("instance", [(SchemeKind.ZYQT, 3, 3, 2), (SchemeKind.OLR, 4, 3, 2)],
                          ids=["zyqt-3", "olr-4"])
 def test_equitable_check_rejects_corrupted_partition(instance):
-    inst, tables, _ = setup_scheme(*instance)
+    inst, tables, cost = setup_scheme(*instance)
     table = tables[0]
     matrix = epigraph_matrix(table)
-    rows, cols = table.classes
+    rows, cols = optimizer._partition(table, cost)
     check_equitable(matrix, rows, cols)
     merged = np.where(cols == 1, 0, cols)
     with pytest.raises(RuntimeError, match="not equitable"):
@@ -227,31 +235,47 @@ def test_equitable_check_rejects_corrupted_partition(instance):
 
 
 def test_partition_computed_once_per_sweep(monkeypatch):
+    """One color refinement per table and cost form, however the targets
+    of two forms interleave."""
     calls = []
     real = optimizer.equitable_partition
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr("wpir.leakage.equitable_partition", counted)
-    monkeypatch.setattr("wpir.optimizer.equitable_partition", counted)
+    monkeypatch.setattr("wpir.optimizer.equitable_partition",
+                        lambda *args: calls.append(args) or real(*args))
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     for d in default_grid(cost, inst.alphabet.size, 9):
         solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
     assert len(calls) == 1
+    download = default_grid(cost, inst.alphabet.size, len(_OFF_CLASS_TARGETS))
+    for d, e in zip(download, _OFF_CLASS_TARGETS):
+        for form, target in ((cost, d), (_OFF_CLASS, e)):
+            solve_tradeoff_point(tables, form, target, inst.params.lam, inst.dim)
+    assert len(calls) == 2
+
+
+def test_explicit_zero_coefficient_seeds_as_absent():
+    """A cost coefficient of 0 colors its strategy as an absent one does:
+    the same partition, reduced LP and points."""
+    inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    assert 7 < inst.alphabet.size and 7 not in _OFF_CLASS.coeffs
+    zeroed = LinearForm(coeffs={**_OFF_CLASS.coeffs, 7: F(0)}, constant=_OFF_CLASS.constant)
+    for d in _OFF_CLASS_TARGETS:
+        a, b = reduce_lp(tables, _OFF_CLASS, d), reduce_lp(tables, zeroed, d)
+        assert _lp_bytes(a.problem) + [a.problem.b_ub.tobytes(), a.strategy_class.tobytes()] \
+            == _lp_bytes(b.problem) + [b.problem.b_ub.tobytes(), b.strategy_class.tobytes()]
+        assert solve_tradeoff_point(tables, _OFF_CLASS, d, inst.params.lam, inst.dim) \
+            == solve_tradeoff_point(tables, zeroed, d, inst.params.lam, inst.dim)
 
 
 def test_reduction_built_once_per_sweep(monkeypatch):
     calls = []
-    for name in ("_cost_classes", "_assemble"):
+    for name in ("_partition", "_assemble"):
         real = getattr(optimizer, name)
         monkeypatch.setattr(f"wpir.optimizer.{name}",
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     for d in default_grid(cost, inst.alphabet.size, 9):
         solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-    assert calls == ["_cost_classes", "_assemble"]
+    assert calls == ["_partition", "_assemble"]
 
 
 def _lp_bytes(p):
