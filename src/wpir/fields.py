@@ -67,10 +67,11 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
+        # the size first: is_prime trial-divides large moduli
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"modulus {q} exceeds {MAX_FIELD_SIZE}")
+        if not is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
     def __eq__(self, other):

@@ -66,14 +66,6 @@ class LinearForm:
             values.append(_ZERO)
         return pick(values)
 
-    def affine_on_simplex(self, size: int) -> "LinearForm":
-        """Equivalent form on the simplex with the smallest coefficient
-        folded into the constant (z sums to 1, so c*z == c_min + (c-c_min)*z)."""
-        every = [self.coefficient(i) for i in range(size)]
-        lo = min(every)
-        coeffs = {i: c - lo for i, c in enumerate(every) if c != lo}
-        return LinearForm(coeffs=coeffs, constant=self.constant + lo)
-
     def min_on_simplex(self, size: int) -> Fraction:
         return self.constant + self._extreme(size, min)
 
@@ -149,10 +141,9 @@ class ConditionalQueryTable:
 
     @cached_property
     def reductions(self) -> dict:
-        """The trade-off LPs reduced on this table (optimizer.reduce_lp),
-        each on the partition of its own cost form: id(cost form) ->
-        (cost form, reduced LP).  Each entry holds its form, so that id is
-        not reused while the entry lives."""
+        """The optimizer's Frontier of each cost form on this table
+        (optimizer.frontier): id(cost form) -> Frontier.  Each Frontier
+        holds its form, so that id is not reused while the entry lives."""
         return {}
 
     def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:

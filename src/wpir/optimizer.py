@@ -9,12 +9,12 @@ The full LP is its discrete case.  Each point is solved on the coarsest
 equitable partition: one weight per class of strategies the LP cannot
 tell apart, one epigraph variable per class of queries, and one row per
 class of rows; that LP has the full LP's optimum, and its answer lifts to
-a z constant on each class.  That reduced LP is built once per table and
-cost form, and each cost target of a sweep only sets its cap.  A second
-LP pass then pushes the download cost down to the lower envelope at the
-optimal leakage.  The exact re-check sums one representative query per
-query class, weighted by the class size.  A brute-force simplex-grid
-search validates the LP from below.
+a z constant on each class.  One Frontier per table and cost form holds
+that LP and the second pass's LP, which pushes the download cost down to
+the lower envelope at the optimal leakage; both are built once, and each
+cost target of a sweep only sets their caps.  The exact re-check sums one
+representative query per query class, weighted by the class size.  A
+brute-force simplex-grid search validates the LP from below.
 """
 from __future__ import annotations
 
@@ -98,21 +98,8 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     """
     table = shared_table(tables)
     n_rows, n_z = table.counts.shape
-    red = _assemble(table, np.arange(n_rows), np.arange(n_z + len(table.queries)), cost_form)
-    return _capped(red, cost_form, d_target).problem
-
-
-def _with_leakage_cap(p: LpProblem, cap: float) -> LpProblem:
-    """Swap the objective to the download cost (the last row of a_ub),
-    capping the stage-1 objective, the total leakage."""
-    return LpProblem(
-        n_z=p.n_z,
-        c=p.a_ub[-1].toarray().ravel(),
-        a_ub=sparse.vstack([p.a_ub, sparse.csr_matrix(p.c)], format="csr"),
-        b_ub=np.concatenate([p.b_ub, [cap]]),
-        a_eq=p.a_eq,
-        b_eq=p.b_eq,
-    )
+    cols = np.arange(n_z + len(table.queries))
+    return _assemble(table, np.arange(n_rows), cols, cost_form).problem(d_target)
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
@@ -150,25 +137,82 @@ def solve_lp(p: LpProblem) -> LpSolution:
     )
 
 
-@dataclass(frozen=True)
-class ReducedLp:
-    """The epigraph LP on the classes of a partition.
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """The trade-off LP of one table and cost form on the classes of a
+    partition, both stages built once: each cost target sets only caps.
 
     x = P w: every strategy of class C has probability w[C], and every
-    query of a class shares one epigraph variable.  `strategy_class[s]`
-    is s's class, `sizes[C]` its number of members, and `cost[C]` the
-    cost form's summed coefficients over C.  `by_class` holds, for each
-    query class, the M count rows of its first query summed over each
-    strategy class and times the query class's size: every query of a
-    class meets the same number of rows of each row class, so it has the
-    same largest P(q|m), and the per-query maxima sum as over all rows.
+    query of a class shares one epigraph variable.  `stage1` minimizes
+    the leakage; the last entry of its b_ub, the cost cap, is left at 0.
+    `stage2` minimizes the download cost, stage1's last a_ub row, under
+    stage1's rows and then its objective as a leakage cap; its last two
+    caps are left at 0.  `strategy_class[s]` is s's class, `sizes[C]` its
+    number of members, and `cost[C]` the cost form's summed coefficients
+    over C.  `by_class` holds, for each query class, the M count rows of
+    its first query summed over each strategy class and times the query
+    class's size: every query of a class meets the same number of rows of
+    each row class, so it has the same largest P(q|m), and the per-query
+    maxima sum as over all rows.
     """
 
-    problem: LpProblem
+    table: ConditionalQueryTable
+    cost_form: LinearForm
+    stage1: LpProblem
+    stage2: LpProblem
     strategy_class: np.ndarray
     sizes: list[int]
     cost: list[Fraction]
     by_class: sparse.csr_matrix
+
+    def problem(self, d_target) -> LpProblem:
+        """stage1 with the cost cap at d_target, on a b_ub of its own."""
+        b_ub = self.stage1.b_ub.copy()
+        b_ub[-1] = float(Fraction(d_target) - self.cost_form.constant)
+        return replace(self.stage1, b_ub=b_ub)
+
+    def _exact(self, w):
+        """Exact leakage and cost at the class probabilities w."""
+        common = math.lcm(*(v.denominator for v in w))
+        numerators = [v.numerator * (common // v.denominator) for v in w]
+        d = self.cost_form.constant + sum((c * v for c, v in zip(self.cost, w)), Fraction(0))
+        return leakage_at(self.table, self.by_class, numerators, common), d
+
+    def point(self, d_target, lam: int, dim: int) -> TradeoffPoint | None:
+        """Optimal leakage at one cost target, then the cheapest cost
+        achieving it, made exact.  Returns None when the target is
+        infeasible.
+
+        Normalizing, snapping and the exact re-check run on one
+        probability per strategy class, which gives z exactly as on the
+        lifted vector.
+        """
+        p = self.problem(d_target)
+        sol = solve_lp(p)
+        if not sol.is_optimal:
+            return None
+        b_ub = self.stage2.b_ub.copy()
+        b_ub[-2:] = p.b_ub[-1], sol.objective + LEAKAGE_CAP_SLACK
+        capped = solve_lp(replace(self.stage2, b_ub=b_ub))
+        w = _class_pmf((capped if capped.is_optimal else sol).x, self.sizes)
+        val, d_achieved = self._exact(w)
+        snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
+        total = sum((n * v for n, v in zip(self.sizes, snapped)), Fraction(0))
+        if total > 0:
+            snapped = [v / total for v in snapped]
+            if snapped != w:
+                val_snapped, d_snapped = self._exact(snapped)
+                if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
+                    w, val, d_achieved = snapped, val_snapped, d_snapped
+        return TradeoffPoint(
+            d_target=Fraction(d_target),
+            d_achieved=d_achieved,
+            leakage_sum=val.raw_sum,
+            leakage_bits=val.bits,
+            leakage_normalized=val.normalized,
+            rate=Fraction(lam * dim) / d_achieved,
+            z=tuple(w[c] for c in self.strategy_class.tolist()),
+        )
 
 
 def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
@@ -188,13 +232,13 @@ def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
                                np.zeros(table.counts.shape[0], dtype=np.int64), cols)
 
 
-def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -> ReducedLp:
-    """The epigraph LP on a partition of epigraph_matrix(table): `rows`
+def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -> Frontier:
+    """The Frontier on a partition of epigraph_matrix(table): `rows`
     labels its rows and `cols` its columns, strategy classes first.
 
     The matrix is summed over each column class; one representative row
-    per row class, in row order, over N, then the cost row, make a_ub.
-    Its cap, the last entry of b_ub, is left at 0 for _capped to set.
+    per row class, in row order, over N, then the cost row, make stage1's
+    a_ub.
     """
     n_z, m = table.alphabet_size, table.m_files
     strategy_class = cols[:n_z]
@@ -213,39 +257,31 @@ def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -
         shape=(sub.shape[0] + 1, sizes.size),
     )
     weights = sizes.astype(float)
-    problem = LpProblem(
-        n_z=n_w,
-        c=np.concatenate([np.zeros(n_w), weights[n_w:]]),
-        a_ub=a_ub,
-        b_ub=np.full(a_ub.shape[0], -0.0),
-        a_eq=sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(sizes.size - n_w)])),
-        b_eq=np.array([1.0]),
-    )
+    c = np.concatenate([np.zeros(n_w), weights[n_w:]])
+    a_eq = sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(sizes.size - n_w)]))
+    b_eq = np.array([1.0])
+    stage1 = LpProblem(n_z=n_w, c=c, a_ub=a_ub, b_ub=np.full(a_ub.shape[0], -0.0),
+                       a_eq=a_eq, b_eq=b_eq)
+    stage2 = LpProblem(n_z=n_w, c=a_ub[-1].toarray().ravel(),
+                       a_ub=sparse.vstack([a_ub, sparse.csr_matrix(c)], format="csr"),
+                       b_ub=np.full(a_ub.shape[0] + 1, -0.0), a_eq=a_eq, b_eq=b_eq)
     queries = np.unique(cols[n_z:], return_index=True)[1]
     by_class = summed[(queries[:, None] * m + np.arange(m)).ravel(), :n_w]
     by_class.data *= np.repeat(np.repeat(sizes[n_w:], m), np.diff(by_class.indptr))
-    return ReducedLp(problem=problem, strategy_class=strategy_class,
-                     sizes=sizes[:n_w].tolist(), cost=cost, by_class=by_class)
+    return Frontier(table=table, cost_form=cost_form, stage1=stage1, stage2=stage2,
+                    strategy_class=strategy_class, sizes=sizes[:n_w].tolist(), cost=cost,
+                    by_class=by_class)
 
 
-def _capped(red: ReducedLp, cost_form: LinearForm, d_target) -> ReducedLp:
-    """red with the cost cap at d_target, on a b_ub of its own: the rest
-    of red is shared with every other target."""
-    b_ub = red.problem.b_ub.copy()
-    b_ub[-1] = float(Fraction(d_target) - cost_form.constant)
-    return replace(red, problem=replace(red.problem, b_ub=b_ub))
-
-
-def reduce_lp(tables, cost_form: LinearForm, d_target) -> ReducedLp:
-    """reformulate's LP on the coarsest equitable partition on which the
-    cost form is constant (_partition).  The LP is built once per table
-    and cost form; each target only sets its cap."""
+def frontier(tables, cost_form: LinearForm) -> Frontier:
+    """The Frontier of the shared table and the cost form on their
+    coarsest equitable partition (_partition), built once per table and
+    cost form and kept in the table's `reductions`."""
     table = shared_table(tables)
     memo = table.reductions
     if id(cost_form) not in memo:
-        memo[id(cost_form)] = (cost_form, _assemble(table, *_partition(table, cost_form),
-                                                    cost_form))
-    return _capped(memo[id(cost_form)][1], cost_form, d_target)
+        memo[id(cost_form)] = _assemble(table, *_partition(table, cost_form), cost_form)
+    return memo[id(cost_form)]
 
 
 @dataclass(frozen=True)
@@ -271,48 +307,10 @@ def _class_pmf(weights, sizes) -> list[Fraction]:
     return [v / total for v in w]
 
 
-def _exact(table, red: ReducedLp, constant: Fraction, w):
-    """Exact leakage and cost at the class probabilities w."""
-    common = math.lcm(*(v.denominator for v in w))
-    numerators = [v.numerator * (common // v.denominator) for v in w]
-    d = constant + sum((c * v for c, v in zip(red.cost, w)), Fraction(0))
-    return leakage_at(table, red.by_class, numerators, common), d
-
-
 def solve_tradeoff_point(tables, cost_form: LinearForm, d_target, lam: int, dim: int):
-    """Optimal leakage at one cost target, then the cheapest cost achieving
-    it, made exact.  Returns None when the target is infeasible.
-
-    Both LP stages run on the reduced LP (reduce_lp); normalizing,
-    snapping and the exact re-check run on one probability per strategy
-    class, which gives z exactly as on the lifted vector.
-    """
-    table = shared_table(tables)
-    red = reduce_lp(tables, cost_form, d_target)
-    p = red.problem
-    sol = solve_lp(p)
-    if not sol.is_optimal:
-        return None
-    capped = solve_lp(_with_leakage_cap(p, sol.objective + LEAKAGE_CAP_SLACK))
-    w = _class_pmf((capped if capped.is_optimal else sol).x, red.sizes)
-    val, d_achieved = _exact(table, red, cost_form.constant, w)
-    snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
-    total = sum((n * v for n, v in zip(red.sizes, snapped)), Fraction(0))
-    if total > 0:
-        snapped = [v / total for v in snapped]
-        if snapped != w:
-            val_snapped, d_snapped = _exact(table, red, cost_form.constant, snapped)
-            if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
-                w, val, d_achieved = snapped, val_snapped, d_snapped
-    return TradeoffPoint(
-        d_target=Fraction(d_target),
-        d_achieved=d_achieved,
-        leakage_sum=val.raw_sum,
-        leakage_bits=val.bits,
-        leakage_normalized=val.normalized,
-        rate=Fraction(lam * dim) / d_achieved,
-        z=tuple(w[c] for c in red.strategy_class.tolist()),
-    )
+    """Frontier.point at d_target on the table's Frontier for the cost
+    form (frontier); None when the target is infeasible."""
+    return frontier(tables, cost_form).point(d_target, lam, dim)
 
 
 def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):

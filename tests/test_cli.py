@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wpir
+from wpir import cli, optimizer
 from wpir.cli import build_parser, main, resolve_config
 from wpir.leakage import build_query_table, table_to_csv
 from wpir.schemes import SchemeKind, make_scheme
@@ -94,6 +95,22 @@ def test_tradeoff_endpoints():
     assert float(first[8]) == pytest.approx(2 / 3)
     assert float(last[6]) == pytest.approx(0.0, abs=1e-9)
     assert float(last[8]) == pytest.approx(0.6)
+
+
+def test_tradeoff_calls_solve_tradeoff_point_once_per_target(monkeypatch):
+    """`wpir tradeoff` reaches each point through wpir.cli's
+    solve_tradeoff_point, the name the benchmark traces, and partitions
+    the table once per sweep."""
+    calls = []
+    for module, name in ((cli, "solve_tradeoff_point"), (optimizer, "_partition")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    code, _ = run_cli(["tradeoff", "--scheme", "zyqt", "--files", "3", "--servers", "3",
+                       "--dim", "2", "--grid", "5"])
+    assert code == 0
+    assert calls.count("solve_tradeoff_point") == 5
+    assert calls.count("_partition") == 1
 
 
 # SHA-256 of the whole `wpir tradeoff` stdout, header comments included

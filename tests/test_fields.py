@@ -262,6 +262,9 @@ def test_residue_dtype_follows_q():
     assert MAX_FIELD_SIZE == 1 << 16
     with pytest.raises(ValueError, match="exceeds 65536"):
         PrimeField(65537)
+    # refused by size before any primality test, which would trial-divide
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeField(2**89 - 1)
 
 
 def test_matrix_is_read_only():

@@ -28,11 +28,10 @@ from wpir.leakage import (
 from wpir.optimizer import (
     LEAKAGE_CAP_SLACK,
     LpProblem,
-    _with_leakage_cap,
     brute_force_min_leakage,
     default_grid,
+    frontier,
     grid_point_count,
-    reduce_lp,
     reformulate,
     solve_lp,
     solve_tradeoff_point,
@@ -173,12 +172,12 @@ def test_reduced_lp_optimum_equals_full_lp(instance):
     size = inst.alphabet.size
     for d in default_grid(cost, size, 9):
         full = solve_lp(reformulate(tables, cost, d))
-        reduced = solve_lp(reduce_lp(tables, cost, d).problem)
+        reduced = solve_lp(frontier(tables, cost).problem(d))
         assert full.is_optimal and reduced.is_optimal
         assert reduced.objective == pytest.approx(full.objective, abs=1e-9)
     d = cost.min_on_simplex(size) - 1
     assert not solve_lp(reformulate(tables, cost, d)).is_optimal
-    assert not solve_lp(reduce_lp(tables, cost, d).problem).is_optimal
+    assert not solve_lp(frontier(tables, cost).problem(d)).is_optimal
 
 
 # a cost form on zyqt (3,3,2) that splits strategy classes, and its targets
@@ -193,25 +192,39 @@ def _constant_on(form, strategy_class):
                for s, c in enumerate(strategy_class.tolist()))
 
 
+def _reference_with_leakage_cap(p, cap):
+    """Reference stage-2 LP, restacked from the stage-1 LP p: the download
+    cost, p's last a_ub row, as the objective, and p's objective, the
+    total leakage, as one more row capped at cap."""
+    return LpProblem(
+        n_z=p.n_z,
+        c=p.a_ub[-1].toarray().ravel(),
+        a_ub=sparse.vstack([p.a_ub, sparse.csr_matrix(p.c)], format="csr"),
+        b_ub=np.concatenate([p.b_ub, [cap]]),
+        a_eq=p.a_eq,
+        b_eq=p.b_eq,
+    )
+
+
 def test_cost_form_off_the_classes_refines_them():
     """A cost form that splits a strategy class of the download form gets
     classes of its own, and the reduced optimum still equals the full LP's
     at both stages."""
     inst, tables, download = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
-    strategy_class = reduce_lp(tables, download, F(3)).strategy_class
+    strategy_class = frontier(tables, download).strategy_class
     assert np.bincount(strategy_class).max() > 1
     assert _constant_on(download, strategy_class)
     cost = _OFF_CLASS
     assert not _constant_on(cost, strategy_class)
-    assert _constant_on(cost, reduce_lp(tables, cost, F(3, 2)).strategy_class)
+    assert _constant_on(cost, frontier(tables, cost).strategy_class)
     for d in _OFF_CLASS_TARGETS:
         full = reformulate(tables, cost, d)
-        reduced = reduce_lp(tables, cost, d).problem
+        reduced = frontier(tables, cost).problem(d)
         for _ in range(2):
             a, b = solve_lp(full), solve_lp(reduced)
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
-            full = _with_leakage_cap(full, a.objective + LEAKAGE_CAP_SLACK)
-            reduced = _with_leakage_cap(reduced, b.objective + LEAKAGE_CAP_SLACK)
+            full = _reference_with_leakage_cap(full, a.objective + LEAKAGE_CAP_SLACK)
+            reduced = _reference_with_leakage_cap(reduced, b.objective + LEAKAGE_CAP_SLACK)
         pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
         assert cost.evaluate(pt.z) == pt.d_achieved <= d
         assert maxl(tables[0], pt.z).raw_sum == pt.leakage_sum
@@ -258,10 +271,13 @@ def test_explicit_zero_coefficient_seeds_as_absent():
     inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     assert 7 < inst.alphabet.size and 7 not in _OFF_CLASS.coeffs
     zeroed = LinearForm(coeffs={**_OFF_CLASS.coeffs, 7: F(0)}, constant=_OFF_CLASS.constant)
+    a, b = frontier(tables, _OFF_CLASS), frontier(tables, zeroed)
+    assert a is not b
+    assert _lp_bytes(a.stage2) + [a.stage2.b_ub.tobytes(), a.strategy_class.tobytes()] \
+        == _lp_bytes(b.stage2) + [b.stage2.b_ub.tobytes(), b.strategy_class.tobytes()]
     for d in _OFF_CLASS_TARGETS:
-        a, b = reduce_lp(tables, _OFF_CLASS, d), reduce_lp(tables, zeroed, d)
-        assert _lp_bytes(a.problem) + [a.problem.b_ub.tobytes(), a.strategy_class.tobytes()] \
-            == _lp_bytes(b.problem) + [b.problem.b_ub.tobytes(), b.strategy_class.tobytes()]
+        pa, pb = a.problem(d), b.problem(d)
+        assert _lp_bytes(pa) + [pa.b_ub.tobytes()] == _lp_bytes(pb) + [pb.b_ub.tobytes()]
         assert solve_tradeoff_point(tables, _OFF_CLASS, d, inst.params.lam, inst.dim) \
             == solve_tradeoff_point(tables, zeroed, d, inst.params.lam, inst.dim)
 
@@ -286,19 +302,56 @@ def _lp_bytes(p):
 
 def test_targets_differ_only_in_the_cap():
     """Two targets share every LP array but b_ub, whose last entry alone
-    differs; solving a whole sweep leaves the shared arrays as they were."""
+    differs; solving a whole sweep leaves the shared arrays and both
+    stages' prebuilt LPs as they were."""
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     grid = default_grid(cost, inst.alphabet.size, 9)
-    a, b = (reduce_lp(tables, cost, d).problem for d in (grid[2], grid[6]))
+    fr = frontier(tables, cost)
+    a, b = (fr.problem(d) for d in (grid[2], grid[6]))
     before = _lp_bytes(a)
+    prebuilt = [_lp_bytes(s) + [s.b_ub.tobytes()] for s in (fr.stage1, fr.stage2)]
     assert _lp_bytes(b) == before
     assert a.b_ub is not b.b_ub
     assert a.b_ub[:-1].tobytes() == b.b_ub[:-1].tobytes()
     assert (a.b_ub[-1], b.b_ub[-1]) == tuple(float(d - cost.constant) for d in (grid[2], grid[6]))
     for d in grid:
         solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-    assert _lp_bytes(reduce_lp(tables, cost, grid[2]).problem) == before
-    assert reduce_lp(tables, cost, grid[2]).problem.b_ub.tobytes() == a.b_ub.tobytes()
+    assert frontier(tables, cost) is fr
+    assert _lp_bytes(fr.problem(grid[2])) == before
+    assert fr.problem(grid[2]).b_ub.tobytes() == a.b_ub.tobytes()
+    assert [_lp_bytes(s) + [s.b_ub.tobytes()] for s in (fr.stage1, fr.stage2)] == prebuilt
+
+
+_STAGE2_CASES = [((SchemeKind.ZYQT, 4, 3, 2), None), ((SchemeKind.ZYQT, 2, 5, 3), None),
+                 ((SchemeKind.ZYQT, 3, 3, 2), None), ((SchemeKind.ZYQT, 3, 3, 2), _OFF_CLASS),
+                 ((SchemeKind.OLR, 3, 5, 3), None), ((SchemeKind.ZTSL, 3, 4, 2), None)]
+
+
+@pytest.mark.parametrize("instance, form", _STAGE2_CASES,
+                         ids=[f"{i[0].value}-{i[1]}-{i[2]}-{i[3]}" + ("-off-class" if f else "")
+                              for i, f in _STAGE2_CASES])
+def test_stage2_lp_equals_reference_at_every_target(instance, form, monkeypatch):
+    """At every target, the second LP handed to the solver is byte for byte
+    the reference restacked from the first; one sweep stacks it once."""
+    inst, tables, cost = setup_scheme(*instance)
+    cost = form or cost
+    targets = _OFF_CLASS_TARGETS if form else default_grid(cost, inst.alphabet.size, 9)
+    solved, stacks = [], []
+    real_solve, real_vstack = optimizer.solve_lp, sparse.vstack
+    monkeypatch.setattr(optimizer, "solve_lp",
+                        lambda p: solved.append((p, real_solve(p))) or solved[-1][1])
+    monkeypatch.setattr(sparse, "vstack",
+                        lambda *args, **kw: stacks.append(args) or real_vstack(*args, **kw))
+    points = [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+              for d in targets]
+    monkeypatch.undo()
+    assert None not in points and len(stacks) == 1
+    assert len(solved) == 2 * len(targets)
+    for (first, sol), (second, _) in zip(solved[::2], solved[1::2]):
+        want = _reference_with_leakage_cap(first, sol.objective + LEAKAGE_CAP_SLACK)
+        assert second.a_ub.shape == want.a_ub.shape
+        got, ref = (_lp_bytes(q) + [q.b_ub.tobytes()] for q in (second, want))
+        assert got == ref
 
 
 def test_reverse_sweep_equals_fresh_forward_sweep():
@@ -342,9 +395,9 @@ def test_representative_recheck_equals_full_rows(instance, form):
     cost = form or cost
     table = tables[0]
     targets = _OFF_CLASS_TARGETS if form else default_grid(cost, inst.alphabet.size, 7)
+    red = frontier(tables, cost)
     for d in targets:
-        red = reduce_lp(tables, cost, d)
-        sol = solve_lp(red.problem)
+        sol = solve_lp(red.problem(d))
         w = optimizer._class_pmf(sol.x, red.sizes)
         common = math.lcm(*(v.denominator for v in w))
         numerators = [v.numerator * (common // v.denominator) for v in w]
@@ -376,10 +429,11 @@ def _per_strategy_point(table, cost, d, x, lam, dim):
 def test_class_recheck_matches_per_strategy(instance):
     inst, tables, cost = setup_scheme(*instance)
     lam, dim = inst.params.lam, inst.dim
+    red = frontier(tables, cost)
     for d in default_grid(cost, inst.alphabet.size, 7):
-        red = reduce_lp(tables, cost, d)
-        sol = solve_lp(red.problem)
-        capped = solve_lp(_with_leakage_cap(red.problem, sol.objective + LEAKAGE_CAP_SLACK))
+        p = red.problem(d)
+        sol = solve_lp(p)
+        capped = solve_lp(_reference_with_leakage_cap(p, sol.objective + LEAKAGE_CAP_SLACK))
         w = (capped if capped.is_optimal else sol).x
         x = w[red.strategy_class]
         lifted = optimizer._class_pmf(w, red.sizes)
