@@ -4,10 +4,11 @@ Under time sharing every conditional query probability is an integer
 count over N: P(q|m) at strategy s is the number of shifts t that send
 (m, s) to q, divided by N.  A server's table stores those counts as one
 sparse integer matrix, and every server's table is the same, so the
-analysis builds server 1's alone, in one pass: one `np.unique` over the
-bytes of every (m, s, t) query numbers the queries.  The cost form, the
-LP rows and the exact leakage are all assembled from the counts, and the
-optimizer partitions those rows per cost form (equitable_partition);
+analysis builds server 1's alone, in one pass: one `np.lexsort` over
+every (m, s, t) query, read as base-n integer words, numbers the queries
+in the order of their entries.  The cost form, the LP rows and the exact
+leakage are all assembled from the counts, and the optimizer partitions
+those rows per cost form (equitable_partition);
 `Fraction` appears only in the exact re-check and in the linear-form
 views that the table CSV prints.  Floats appear only when taking the
 final log.  Leakage is log2 of the sum, over reachable queries, of the
@@ -29,7 +30,6 @@ from .schemes import (
     QueryMatrix,
     ResourceLimitError,
     SchemeInstance,
-    answer_length,
     cyclic_shift,
     query_rows,
     strategy_array,
@@ -190,8 +190,24 @@ def _split(colors, lines, value_ids, other, rng) -> np.ndarray:
     # sums wrap modulo 2**64; empty rows sum to 0
     running = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(hashed, dtype=np.uint64)])
     sums = running[lines.indptr[1:]] - running[lines.indptr[:-1]]
-    keys = np.column_stack([colors.astype(np.uint64), sums])
-    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    # exact on the pair: no hash of the pair itself
+    return _group((sums, colors))[0]
+
+
+def _group(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Number members by their key: integer columns compared last column
+    first, as np.lexsort orders them.  Returns the rank of each member's
+    key among the distinct keys, and one member of each key, in key
+    order."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, order[new]
 
 
 def check_equitable(matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -251,32 +267,44 @@ def build_query_table(inst: SchemeInstance, j: int) -> ConditionalQueryTable:
     """Tabulate P(q|m) at server j from every (m, s, t) query at once.
 
     Each strategy s and uniform shift t add one to the count of the
-    realized time-shared query.  A query is a key of k*M one-byte entries,
-    so one np.unique numbers them in the order of their rows.  See
+    realized time-shared query.  A query is a key of k*M entries below n,
+    read as base-n words of at most 63 bits, first entry most significant;
+    one np.lexsort of the words numbers the queries in the lexicographic
+    order of their entries.  A query's answer length is its number of
+    rows whose smallest entry is below lambda.  Entries travel as one byte
+    each (QueryMatrix.from_bytes), so n is at most 256.  See
     check_table_budget for the budget.
     """
     check_table_budget(inst, 1)
-    if inst.params.n > 256:
-        raise ValueError(f"query entries below n={inst.params.n} do not fit one byte")
+    base = inst.params.n
+    if base > 256:
+        raise ValueError(f"query entries below n={base} do not fit one byte")
     strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
-    size, width = len(strategies), inst.params.k * m_files
+    size, k = len(strategies), inst.params.k
     hits = np.stack([
         query_rows(inst, m, strategies, cyclic_shift(j, t - 1, n)).astype(np.uint8)
         for m in range(1, m_files + 1) for t in range(1, n + 1)
-    ])  # (m, t) x s x k x M
-    keys, inverse = np.unique(hits.reshape(-1, width).view(f"V{width}"), return_inverse=True)
-    del hits
-    rows = inverse.ravel() * m_files + np.repeat(np.arange(m_files), n * size)
+    ]).reshape(-1, k * m_files)  # (m, t, s) x (k*M)
+    per_word = 1
+    while base ** (per_word + 1) <= 2**63:
+        per_word += 1
+    words = [chunk @ base ** np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
+             for chunk in np.split(hits, range(per_word, hits.shape[1], per_word), axis=1)]
+    inverse, first = _group(words[::-1])
+    keys = hits[first]
+    del hits, words
+    rows = inverse * m_files + np.repeat(np.arange(m_files), n * size)
     cols = np.tile(np.arange(size), m_files * n)
     counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
                                shape=(len(keys) * m_files, size))
     del inverse, rows, cols  # freed before the query objects, which set the peak RSS
-    data = keys.tobytes()
+    lowest = keys.reshape(-1, k, m_files).min(axis=2)
+    lengths = (lowest < inst.params.lam).sum(axis=1, dtype=np.int64)
+    data, width = keys.tobytes(), keys.shape[1]
     queries = tuple(QueryMatrix.from_bytes(data[i:i + width], m_files)
                     for i in range(0, len(data), width))
-    lengths = [answer_length(q, inst.params) for q in queries]
     return ConditionalQueryTable(server=j, m_files=m_files, n_servers=n, queries=queries,
-                                 counts=counts, answer_lengths=np.array(lengths, dtype=np.int64))
+                                 counts=counts, answer_lengths=lengths)
 
 
 def build_all_tables(inst: SchemeInstance) -> tuple[ConditionalQueryTable, ...]:
@@ -331,10 +359,12 @@ def maxl(table: ConditionalQueryTable, z) -> LeakageValue:
     return leakage_at(table, table.counts, numerators, common)
 
 
-def leakage_at(table: ConditionalQueryTable, counts, numerators, common: int) -> LeakageValue:
+def leakage_at(table, counts, numerators, common: int) -> LeakageValue:
     """maxl at the PMF numerators / common, one integer numerator per column
     of counts: the table's count matrix, or its columns summed over
-    classes of strategies that share one probability.
+    classes of strategies that share one probability.  Of `table` (a
+    ConditionalQueryTable, or an optimizer Frontier) only m_files and
+    n_servers are read.
 
     P(q|m) = (count row . numerators) / (N common); Python ints keep every
     numerator exact.

@@ -57,7 +57,10 @@ class LpProblem:
     Variables are the n_z strategy probabilities followed by one
     epigraph variable per query; in a reduced LP, one per class of
     strategies and one per class of queries, each weighted by its class
-    size in c and a_eq.  The last row of a_ub is the cost cap.
+    size in c and a_eq.  The last row of a_ub is the cost cap.  `method`
+    is linprog's: the full LP solves faster by interior point
+    ("highs-ipm"), and the Frontier LPs keep "highs", whose optimal
+    vertex the pinned frontier points record.
     """
 
     n_z: int
@@ -66,6 +69,7 @@ class LpProblem:
     b_ub: np.ndarray
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
+    method: str = "highs"
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,14 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     Stacks t_q >= P(q|m)(z) for every query and file, the cost cap, and
     the PMF normalization; log2 of the optimal objective is the leakage.
     Row qi*M + m-1 is the table's count row over N followed by -1 on t_q.
-    It is _assemble on the discrete partition.
+    It is _assemble on the discrete partition, solved by interior point:
+    nothing reads which of several optimal vertices it returns.
     """
     table = shared_table(tables)
     n_rows, n_z = table.counts.shape
     cols = np.arange(n_z + len(table.queries))
-    return _assemble(table, np.arange(n_rows), cols, cost_form).problem(d_target)
+    p = _assemble(table, np.arange(n_rows), cols, cost_form).problem(d_target)
+    return replace(p, method="highs-ipm")
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
@@ -110,7 +116,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
         A_eq=p.a_eq,
         b_eq=p.b_eq,
         bounds=(0.0, 1.0),
-        method="highs",
+        method=p.method,
     )
     if res.status == 2:
         return LpSolution(
@@ -153,10 +159,13 @@ class Frontier:
     its first query summed over each strategy class and times the query
     class's size: every query of a class meets the same number of rows of
     each row class, so it has the same largest P(q|m), and the per-query
-    maxima sum as over all rows.
+    maxima sum as over all rows.  Of the table it keeps only M and N,
+    which the exact re-check reads, so the table's `reductions` memo
+    holding this Frontier makes no reference cycle.
     """
 
-    table: ConditionalQueryTable
+    m_files: int
+    n_servers: int
     cost_form: LinearForm
     stage1: LpProblem
     stage2: LpProblem
@@ -176,7 +185,7 @@ class Frontier:
         common = math.lcm(*(v.denominator for v in w))
         numerators = [v.numerator * (common // v.denominator) for v in w]
         d = self.cost_form.constant + sum((c * v for c, v in zip(self.cost, w)), Fraction(0))
-        return leakage_at(self.table, self.by_class, numerators, common), d
+        return leakage_at(self, self.by_class, numerators, common), d
 
     def point(self, d_target, lam: int, dim: int) -> TradeoffPoint | None:
         """Optimal leakage at one cost target, then the cheapest cost
@@ -268,7 +277,8 @@ def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -
     queries = np.unique(cols[n_z:], return_index=True)[1]
     by_class = summed[(queries[:, None] * m + np.arange(m)).ravel(), :n_w]
     by_class.data *= np.repeat(np.repeat(sizes[n_w:], m), np.diff(by_class.indptr))
-    return Frontier(table=table, cost_form=cost_form, stage1=stage1, stage2=stage2,
+    return Frontier(m_files=m, n_servers=table.n_servers, cost_form=cost_form,
+                    stage1=stage1, stage2=stage2,
                     strategy_class=strategy_class, sizes=sizes[:n_w].tolist(), cost=cost,
                     by_class=by_class)
 

@@ -29,7 +29,16 @@ from wpir.leakage import (
     uniform_pmf,
 )
 from wpir.optimizer import _assemble, reformulate
-from wpir.schemes import SchemeKind, answer_length, make_scheme, time_shared_query
+from wpir.schemes import (
+    QueryMatrix,
+    SchemeKind,
+    answer_length,
+    cyclic_shift,
+    make_scheme,
+    query_rows,
+    strategy_array,
+    time_shared_query,
+)
 
 INSTANCES = [
     (SchemeKind.ZYQT, 4, 3, 2),
@@ -237,6 +246,54 @@ def test_mismatched_count_tables_rejected():
             download_cost_form((table, other))
     # tables sharing one count array skip the entry-by-entry compare
     assert shared_table((table, replace(table, server=2))) is table
+
+
+def _reference_unique_numbering(inst, j):
+    """build_query_table's queries, counts and answer lengths with the
+    queries numbered by one np.unique over the bytes of their entries."""
+    strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
+    size, width = len(strategies), inst.params.k * m_files
+    hits = np.stack([
+        query_rows(inst, m, strategies, cyclic_shift(j, t - 1, n)).astype(np.uint8)
+        for m in range(1, m_files + 1) for t in range(1, n + 1)
+    ])
+    keys, inverse = np.unique(hits.reshape(-1, width).view(f"V{width}"), return_inverse=True)
+    rows = inverse.ravel() * m_files + np.repeat(np.arange(m_files), n * size)
+    cols = np.tile(np.arange(size), m_files * n)
+    counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
+                               shape=(len(keys) * m_files, size))
+    data = keys.tobytes()
+    queries = tuple(QueryMatrix.from_bytes(data[i:i + width], m_files)
+                    for i in range(0, len(data), width))
+    lengths = np.array([answer_length(q, inst.params) for q in queries], dtype=np.int64)
+    return queries, counts, lengths
+
+
+_NUMBERED = [(i, 1) for i in INSTANCES] + [
+    ((SchemeKind.ZTSL, 4, 7, 6), 1), ((SchemeKind.ZTSL, 4, 7, 6), 5),
+    ((SchemeKind.ZTSL, 7, 5, 4), 2), ((SchemeKind.ZTSL, 3, 3, 2), 1),
+    ((SchemeKind.OLR, 4, 3, 2), 3), ((SchemeKind.ZTSL, 1, 256, 1), 1)]
+
+
+@pytest.mark.parametrize("instance, server", _NUMBERED,
+                         ids=[f"{k.value}-{m}-{n}-{d}-j{j}" for (k, m, n, d), j in _NUMBERED])
+def test_query_numbering_equals_unique_bytes_reference(instance, server):
+    """Queries numbered from base-n words, in one or more 63-bit words,
+    come in the byte order of np.unique: the same queries, counts and
+    answer lengths.  ztsl (4,7,6) has 24-entry keys over n = 7 (67 bits)
+    and ztsl (7,5,4) 28 entries over n = 5 (65 bits): two words each."""
+    inst = make_scheme(*instance)
+    table = build_query_table(inst, server)
+    queries, counts, lengths = _reference_unique_numbering(inst, server)
+    assert table.queries == queries
+    assert table.counts.shape == counts.shape
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(table.counts, part), getattr(counts, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert table.answer_lengths.dtype == lengths.dtype
+    assert table.answer_lengths.tobytes() == lengths.tobytes()
+    assert table.answer_lengths.tolist() == [answer_length(q, inst.params)
+                                             for q in table.queries]
 
 
 # SHA-256 of the concatenated table CSVs below: pins query construction,

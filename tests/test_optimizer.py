@@ -1,7 +1,10 @@
 """Tests for the trade-off LP, the sweep, and the brute-force oracle."""
+import copy
 import functools
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -10,7 +13,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from wpir import optimizer
+from wpir import leakage, optimizer
 from wpir.leakage import (
     LinearForm,
     ResourceLimitError,
@@ -247,6 +250,48 @@ def test_equitable_check_rejects_corrupted_partition(instance):
         check_equitable(matrix, moved, cols)
 
 
+def _reference_split(colors, lines, value_ids, other, rng):
+    """leakage._split numbering the (color, hash sum) pairs with one
+    np.unique over the pairs as rows."""
+    n_values = int(value_ids.max()) + 1
+    weights = rng.integers(0, 2**64, size=(int(other.max()) + 1) * n_values, dtype=np.uint64)
+    hashed = weights[other[lines.indices] * n_values + value_ids]
+    running = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(hashed, dtype=np.uint64)])
+    sums = running[lines.indptr[1:]] - running[lines.indptr[:-1]]
+    keys = np.column_stack([colors.astype(np.uint64), sums])
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+@pytest.mark.parametrize("instance, form",
+                         [((SchemeKind.ZYQT, 4, 3, 2), None), ((SchemeKind.ZYQT, 2, 5, 3), None),
+                          ((SchemeKind.OLR, 3, 5, 3), None),
+                          ((SchemeKind.ZYQT, 3, 3, 2), _OFF_CLASS)],
+                         ids=["zyqt-4-3-2", "zyqt-2-5-3", "olr-3-5-3", "zyqt-3-3-2-off-class"])
+def test_partition_equals_unique_rows_reference(instance, form, monkeypatch):
+    """Color refinement labels each split by the rank of its (color, sum)
+    pair exactly as np.unique over the pairs does: the same labels at
+    every split and at the end."""
+    inst, tables, cost = setup_scheme(*instance)
+    cost = form or cost
+    rows, cols = optimizer._partition(tables[0], cost)
+    real_split, splits = leakage._split, []
+
+    def checked(colors, lines, value_ids, other, rng):
+        want = _reference_split(colors, lines, value_ids, other, copy.deepcopy(rng))
+        got = real_split(colors, lines, value_ids, other, rng)
+        splits.append(got.dtype == want.dtype and np.array_equal(got, want))
+        return got
+
+    monkeypatch.setattr(leakage, "_split", checked)
+    assert [a.tobytes() for a in optimizer._partition(tables[0], cost)] \
+        == [rows.tobytes(), cols.tobytes()]
+    assert len(splits) >= 4 and all(splits)
+    monkeypatch.setattr(leakage, "_split", _reference_split)
+    want = optimizer._partition(tables[0], cost)
+    assert (want[0].dtype, want[1].dtype) == (rows.dtype, cols.dtype)
+    assert [a.tobytes() for a in want] == [rows.tobytes(), cols.tobytes()]
+
+
 def test_partition_computed_once_per_sweep(monkeypatch):
     """One color refinement per table and cost form, however the targets
     of two forms interleave."""
@@ -383,6 +428,25 @@ def test_alternating_cost_forms_match_fresh_tables():
     assert got[id(cost)] == _sweep_on(instance, download)
     assert got[id(_OFF_CLASS)] == _sweep_on(instance, _OFF_CLASS_TARGETS, _OFF_CLASS)
     assert len(tables[0].reductions) == 2
+
+
+def test_sweep_leaves_no_reference_cycle_to_its_table():
+    """The Frontier memo on a table does not point back at the table: with
+    the cyclic collector off, the table is freed when its last reference
+    goes."""
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for d in default_grid(cost, inst.alphabet.size, 3):
+            solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+        assert len(tables[0].reductions) == 1
+        ref = weakref.ref(tables[0])
+        del tables
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("instance, form", [(i, None) for i in _REDUCED]
