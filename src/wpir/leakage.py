@@ -6,10 +6,12 @@ count over N: P(q|m) at strategy s is the number of shifts t that send
 sparse integer matrix, and every server's table is the same, so the
 analysis builds server 1's alone, in one pass: one `np.lexsort` over
 every (m, s, t) query, read as base-n integer words, numbers the queries
-in the order of their entries.  The cost form, the LP rows and the exact
-leakage are all assembled from the counts, and the optimizer partitions
-those rows per cost form (equitable_partition);
-`Fraction` appears only in the exact re-check and in the linear-form
+in the order of their entries.  A linear form holds integer numerators
+over one denominator: a count row over N for P(q|m), integers over M for
+the download cost.  The cost form, the LP rows and the exact leakage are
+all assembled from the counts, and the optimizer partitions those rows
+per cost form (equitable_partition); `Fraction` appears only in the
+exact re-check, in a form's value at an exact PMF and in the coefficient
 views that the table CSV prints.  Floats appear only when taking the
 final log.  Leakage is log2 of the sum, over reachable queries, of the
 largest per-file conditional probability: 0 bits means the query says
@@ -40,37 +42,45 @@ DEFAULT_TABLE_GUARD = 1_500_000
 # seeds the random hash weights of color refinement; the partition it
 # returns does not depend on them
 _REFINE_SEED = 20140908
-_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
-    """constant + sum of coeffs[i] * z_i with exact rational entries."""
+    """constant + sum of numerators[j] / denominator * z_{indices[j]}, with
+    increasing int64 strategy indices, int64 numerators and one positive
+    denominator; an absent index has coefficient 0."""
 
-    coeffs: dict[int, Fraction]
+    indices: np.ndarray
+    numerators: np.ndarray
+    denominator: int
     constant: Fraction = Fraction(0)
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """Read-only copy: strategy index -> coefficient, in index order."""
+        den = self.denominator
+        return {i: Fraction(v, den)
+                for i, v in zip(self.indices.tolist(), self.numerators.tolist())}
+
+    def dense(self, size: int) -> np.ndarray:
+        """The int64 numerators of z_0 .. z_{size-1}, the absent ones 0."""
+        out = np.zeros(size, dtype=np.int64)
+        out[self.indices] = self.numerators
+        return out
+
     def evaluate(self, z) -> Fraction:
-        return self.constant + sum(
-            (c * z[i] for i, c in self.coeffs.items()), Fraction(0)
-        )
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs.get(i, _ZERO)
-
-    def _extreme(self, size: int, pick) -> Fraction:
-        """pick (min or max) over the coefficients of z_0 .. z_{size-1},
-        the absent ones counted once as 0."""
-        values = [c for i, c in self.coeffs.items() if i < size]
-        if len(values) < size:
-            values.append(_ZERO)
-        return pick(values)
+        """The form at exact probabilities z (Fractions or ints)."""
+        terms = [z[i] for i in self.indices.tolist()]
+        common = math.lcm(*(v.denominator for v in terms))
+        total = sum(c * v.numerator * (common // v.denominator)
+                    for c, v in zip(self.numerators.tolist(), terms))
+        return self.constant + Fraction(total, self.denominator * common)
 
     def min_on_simplex(self, size: int) -> Fraction:
-        return self.constant + self._extreme(size, min)
+        return self.constant + Fraction(int(self.dense(size).min()), self.denominator)
 
     def max_on_simplex(self, size: int) -> Fraction:
-        return self.constant + self._extreme(size, max)
+        return self.constant + Fraction(int(self.dense(size).max()), self.denominator)
 
 
 def as_pmf(values, size: int) -> tuple[Fraction, ...]:
@@ -121,15 +131,11 @@ class ConditionalQueryTable:
 
     @cached_property
     def forms(self) -> MappingProxyType:
-        """Read-only view: query -> P(q|m) as one LinearForm per file."""
-        c, n = self.counts, self.n_servers
-        indptr, indices, data = c.indptr.tolist(), c.indices.tolist(), c.data.tolist()
-        rows = [
-            LinearForm(coeffs={i: Fraction(v, n) for i, v in
-                               zip(indices[lo:hi], data[lo:hi])})
-            for lo, hi in zip(indptr, indptr[1:])
-        ]
-        m = self.m_files
+        """Read-only view: query -> P(q|m), a count row over N, per file."""
+        c, n, m = self.counts, self.n_servers, self.m_files
+        indices, bounds = c.indices.astype(np.int64), c.indptr.tolist()
+        rows = [LinearForm(indices[lo:hi], c.data[lo:hi], n)
+                for lo, hi in zip(bounds, bounds[1:])]
         return MappingProxyType(
             {q: tuple(rows[qi * m:(qi + 1) * m]) for qi, q in enumerate(self.queries)}
         )
@@ -388,14 +394,14 @@ def download_cost_form(tables) -> LinearForm:
     probability, folded to canonical affine form on the simplex.
 
     All servers share one table, so D is N times server 1's sum of
-    len(q) * count / (N M): integer numerators over M.  The smallest
-    numerator is folded into the constant before any Fraction is built.
+    len(q) * count / (N M): integer numerators over M, unreduced, with the
+    smallest folded into the constant.
     """
     table = shared_table(tables)
-    numerators = (table.counts.T @ np.repeat(table.answer_lengths, table.m_files)).tolist()
-    lo, m = min(numerators), table.m_files
-    coeffs = {i: Fraction(v - lo, m) for i, v in enumerate(numerators) if v != lo}
-    return LinearForm(coeffs=coeffs, constant=Fraction(lo, m))
+    numerators = table.counts.T @ np.repeat(table.answer_lengths, table.m_files)
+    lo, m = int(numerators.min()), table.m_files
+    indices = np.flatnonzero(numerators != lo)
+    return LinearForm(indices, numerators[indices] - lo, m, Fraction(lo, m))
 
 
 def serialize_query(q: QueryMatrix) -> str:
@@ -404,7 +410,7 @@ def serialize_query(q: QueryMatrix) -> str:
 
 def serialize_form(f: LinearForm) -> str:
     """Sparse 'z<i>:<frac>' pairs with 1-based strategy indices."""
-    parts = [f"z{i + 1}:{c}" for i, c in sorted(f.coeffs.items())]
+    parts = [f"z{i + 1}:{c}" for i, c in f.coeffs.items()]
     if f.constant != 0 or not parts:
         parts.insert(0, str(f.constant))
     return " ".join(parts)

@@ -84,14 +84,6 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _cost_vector(cost_form: LinearForm, size: int) -> np.ndarray:
-    """The cost form's coefficients as a dense float vector."""
-    c = np.zeros(size)
-    for i, v in cost_form.coeffs.items():
-        c[i] = float(v)
-    return c
-
-
 def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     """Epigraph LP for one download-cost target.
 
@@ -154,14 +146,14 @@ class Frontier:
     `stage2` minimizes the download cost, stage1's last a_ub row, under
     stage1's rows and then its objective as a leakage cap; its last two
     caps are left at 0.  `strategy_class[s]` is s's class, `sizes[C]` its
-    number of members, and `cost[C]` the cost form's summed coefficients
-    over C.  `by_class` holds, for each query class, the M count rows of
-    its first query summed over each strategy class and times the query
-    class's size: every query of a class meets the same number of rows of
-    each row class, so it has the same largest P(q|m), and the per-query
-    maxima sum as over all rows.  Of the table it keeps only M and N,
-    which the exact re-check reads, so the table's `reductions` memo
-    holding this Frontier makes no reference cycle.
+    number of members, and `cost[C]` the cost form's numerators summed
+    over C, over the form's denominator.  `by_class` holds, for each query
+    class, the M count rows of its first query summed over each strategy
+    class and times the query class's size: every query of a class meets
+    the same number of rows of each row class, so it has the same largest
+    P(q|m), and the per-query maxima sum as over all rows.  Of the table
+    it keeps only M and N, which the exact re-check reads, so the table's
+    `reductions` memo holding this Frontier makes no reference cycle.
     """
 
     m_files: int
@@ -171,7 +163,7 @@ class Frontier:
     stage2: LpProblem
     strategy_class: np.ndarray
     sizes: list[int]
-    cost: list[Fraction]
+    cost: np.ndarray  # int64
     by_class: sparse.csr_matrix
 
     def problem(self, d_target) -> LpProblem:
@@ -184,7 +176,8 @@ class Frontier:
         """Exact leakage and cost at the class probabilities w."""
         common = math.lcm(*(v.denominator for v in w))
         numerators = [v.numerator * (common // v.denominator) for v in w]
-        d = self.cost_form.constant + sum((c * v for c, v in zip(self.cost, w)), Fraction(0))
+        cost = sum(c * v for c, v in zip(self.cost.tolist(), numerators))
+        d = self.cost_form.constant + Fraction(cost, self.cost_form.denominator * common)
         return leakage_at(self, self.by_class, numerators, common), d
 
     def point(self, d_target, lam: int, dim: int) -> TradeoffPoint | None:
@@ -228,15 +221,13 @@ def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
     """Coarsest equitable partition of epigraph_matrix(table) on which the
     cost form is constant (equitable_partition).
 
-    Strategies start colored by their cost coefficient, an absent one as
-    0, and the queries share one color of their own.  The LP's all-ones
+    Strategies start colored by their cost numerator, an absent one as 0,
+    and the queries share one color of their own.  The LP's all-ones
     normalization row and its [0, 1] bounds are the same on every
     strategy, so they split no class and are left out.
     """
-    ids = {}
-    codes = [ids.setdefault((c.numerator, c.denominator), len(ids))
-             for c in map(cost_form.coefficient, range(table.alphabet_size))]
-    cols = np.array(codes + [len(ids)] * len(table.queries))
+    colors = cost_form.dense(table.alphabet_size)
+    cols = np.append(colors, np.full(len(table.queries), colors.max() + 1))
     return equitable_partition(epigraph_matrix(table),
                                np.zeros(table.counts.shape[0], dtype=np.int64), cols)
 
@@ -254,13 +245,13 @@ def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -
     sizes = np.bincount(cols)
     first = np.unique(strategy_class, return_index=True)[1]
     n_w = first.size
-    cost = [n * cost_form.coefficient(s) for n, s in zip(sizes[:n_w].tolist(), first.tolist())]
+    cost = sizes[:n_w] * cost_form.dense(n_z)[first]
     summed = (epigraph_matrix(table) @ class_indicator(cols)).tocsr()
     summed.sort_indices()
     sub = summed[np.unique(rows, return_index=True)[1]]
     cost_cols = np.flatnonzero(cost)
     a_ub = sparse.csr_matrix(
-        (np.concatenate([sub.data / table.n_servers, [float(cost[i]) for i in cost_cols]]),
+        (np.concatenate([sub.data / table.n_servers, cost[cost_cols] / cost_form.denominator]),
          np.concatenate([sub.indices, cost_cols]),
          np.append(sub.indptr, sub.nnz + cost_cols.size)),
         shape=(sub.shape[0] + 1, sizes.size),
@@ -420,7 +411,7 @@ def brute_force_min_leakage(
             f"grid chunks hold {entries} entries ({min(count, _CHUNK)} points x "
             f"|S|={size}) at step {step}, budget {DEFAULT_GRID_GUARD}"
         )
-    cost_vec = _cost_vector(cost_form, size)
+    cost_vec = cost_form.dense(size) / cost_form.denominator
     cost_cap = float(Fraction(d_target) - cost_form.constant) + 1e-9
     # per-m coefficient matrices, queries x strategies
     probs = table.counts.toarray() / table.n_servers

@@ -136,25 +136,22 @@ def enumerate_strategies(kind: SchemeKind, n: int, k: int, m_files: int) -> Stra
     return StrategyAlphabet(kind=kind, n=n, k=k, m_files=m_files, array=array)
 
 
-def zyqt_size(n: int, k: int, m_files: int) -> int:
-    return math.perm(n, k) ** m_files
-
-
-def ztsl_size(n: int, m_files: int) -> int:
-    return n ** (m_files - 1)
-
-
 def _check_alphabet_budget(kind: SchemeKind, n: int, k: int, m_files: int) -> None:
     """Refuse an alphabet whose array build would enumerate more than
     DEFAULT_ALPHABET_GUARD rows (read at call time): P(n,k)^M for zyqt,
-    n^(M-1) for ztsl and P(n,k)^(M-1) for olr before its filter."""
-    if kind is SchemeKind.ZTSL:
-        rows = ztsl_size(n, m_files)
-    else:
-        rows = zyqt_size(n, k, m_files - (kind is SchemeKind.OLR))
-    if rows > DEFAULT_ALPHABET_GUARD:
-        raise ResourceLimitError(f"{kind.value} alphabet enumeration needs {rows} rows "
-                                 f"(n={n}, k={k}, M={m_files}), budget {DEFAULT_ALPHABET_GUARD}")
+    n^(M-1) for ztsl and P(n,k)^(M-1) for olr before its filter.  The power
+    is multiplied up only until it passes the budget: a huge M costs a few
+    products and is reported as "more than" the budget."""
+    budget = DEFAULT_ALPHABET_GUARD
+    base, left = ((n, m_files - 1) if kind is SchemeKind.ZTSL
+                  else (math.perm(n, k), m_files - (kind is SchemeKind.OLR)))
+    rows, left = (base ** left, 0) if base < 2 else (1, left)
+    while left and rows <= budget:
+        rows, left = rows * base, left - 1
+    if rows > budget:
+        count = f"more than {budget}" if left else rows
+        raise ResourceLimitError(f"{kind.value} alphabet enumeration needs {count} rows "
+                                 f"(n={n}, k={k}, M={m_files}), budget {budget}")
 
 
 @dataclass(frozen=True)

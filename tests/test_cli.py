@@ -11,7 +11,7 @@ import pytest
 import wpir
 from wpir import cli, optimizer
 from wpir.cli import build_parser, main, resolve_config
-from wpir.leakage import build_query_table, table_to_csv
+from wpir.leakage import ResourceLimitError, build_query_table, table_to_csv
 from wpir.schemes import SchemeKind, make_scheme
 
 
@@ -126,6 +126,23 @@ def test_tradeoff_csvs_pinned(argv, digest):
     scheme, m_files, n_servers, dim, grid = argv
     code, out = run_cli(["tradeoff", "--scheme", scheme, "--files", m_files,
                          "--servers", n_servers, "--dim", dim, "--grid", grid])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the whole `wpir simulate` stdout, header comments included; it
+# prints the cost form and the conditional probabilities evaluated exactly
+@pytest.mark.parametrize("argv,digest", [
+    (("ztsl", "2", "3", "2", "3000", "5"),
+     "b084617386d962c17a675c5709d01f5c54b96401c74b57fb1f412dc4b43d6ea8"),
+    (("zyqt", "3", "3", "2", "2000", "1"),
+     "8ff958a4125e6e7581f3ce33108b0d913f7a9ce5a58f886c1162e6c5eb36a56f"),
+], ids=["ztsl-2-3-2", "zyqt-3-3-2"])
+def test_simulate_output_pinned(argv, digest):
+    scheme, m_files, n_servers, dim, samples, seed = argv
+    code, out = run_cli(["simulate", "--scheme", scheme, "--files", m_files,
+                         "--servers", n_servers, "--dim", dim, "--samples", samples,
+                         "--seed", seed])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -415,6 +432,20 @@ def test_enumerate_refuses_alphabet_over_budget_before_allocating(monkeypatch, c
                          "--dim", "4"])
     assert (code, out, built) == (2, "", [])
     assert "olr alphabet enumeration needs 592704000 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, files", [("zyqt", "6000"), ("ztsl", "10000")])
+def test_huge_file_count_refused_in_one_short_line(scheme, files, capsys):
+    """P(n,k)^M and n^(M-1) run to thousands of digits here: the guard
+    stops multiplying once past its budget and never prints them."""
+    code, out = run_cli(["enumerate", "--scheme", scheme, "--files", files,
+                         "--servers", "3", "--dim", "2"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200
+    assert f"alphabet enumeration needs more than 1000000 rows (n=3, k=2, M={files})" in err
+    with pytest.raises(ResourceLimitError, match="needs more than 1000000 rows"):
+        make_scheme(SchemeKind(scheme), int(files), 3, 2)
 
 
 def test_public_names_resolve():

@@ -2,9 +2,10 @@
 they replace.
 
 The `_reference_*` functions below are the dict-of-`Fraction` table build,
-cost form, LP assembly and leakage that the count tables replaced; the
-tests require the count path to reproduce them exactly, bit for bit where
-floats are involved.
+cost form, LP assembly and leakage that the count tables replaced, and
+`_ReferenceForm` is the dict-of-`Fraction` linear form that the integer
+`LinearForm` replaced; the tests require the count path to reproduce them
+exactly, bit for bit where floats are involved.
 """
 import hashlib
 from dataclasses import dataclass, replace
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from forms import OFF_CLASS, exact
+from wpir import optimizer
 from wpir.leakage import (
     LinearForm,
     as_pmf,
@@ -28,7 +31,7 @@ from wpir.leakage import (
     table_to_csv,
     uniform_pmf,
 )
-from wpir.optimizer import _assemble, reformulate
+from wpir.optimizer import _assemble, default_grid, reformulate
 from wpir.schemes import (
     QueryMatrix,
     SchemeKind,
@@ -51,6 +54,17 @@ INSTANCES = [
     (SchemeKind.ZTSL, 1, 3, 2),
 ]
 IDS = [f"{k.value}-{m}-{n}-{d}" for k, m, n, d in INSTANCES]
+
+
+@dataclass(frozen=True)
+class _ReferenceForm:
+    """constant + sum of coeffs[i] * z_i with exact rational entries."""
+
+    coeffs: dict
+    constant: F = F(0)
+
+    def evaluate(self, z):
+        return self.constant + sum((c * z[i] for i, c in self.coeffs.items()), F(0))
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ def _reference_query_table(inst, j):
                 bucket[sidx] = bucket.get(sidx, F(0)) + w
     queries = tuple(sorted(acc, key=lambda q: q.rows))
     forms = {
-        q: tuple(LinearForm(coeffs=dict(sorted(b.items()))) for b in acc[q])
+        q: tuple(_ReferenceForm(coeffs=dict(sorted(b.items()))) for b in acc[q])
         for q in queries
     }
     lengths = {q: answer_length(q, inst.params) for q in queries}
@@ -104,7 +118,7 @@ def _reference_download_cost_form(tables):
                     coeffs[i] = coeffs.get(i, F(0)) + ell * prior * c
     every = [coeffs.get(i, F(0)) for i in range(size)]
     lo = min(every)
-    return LinearForm(coeffs={i: c - lo for i, c in enumerate(every) if c != lo}, constant=lo)
+    return _ReferenceForm(coeffs={i: c - lo for i, c in enumerate(every) if c != lo}, constant=lo)
 
 
 def _reference_reformulate(table, cost_form, d_target):
@@ -125,8 +139,9 @@ def _reference_reformulate(table, cost_form, d_target):
             vals.append(-1.0)
             b_ub.append(-float(form.constant))
             r += 1
+    cost_coeffs = cost_form.coeffs
     for i in range(n_z):
-        cf = cost_form.coefficient(i)
+        cf = cost_coeffs.get(i, F(0))
         if cf != 0:
             rows.append(r)
             cols.append(i)
@@ -156,7 +171,7 @@ def test_views_and_cost_form_match_reference(instance):
     inst, table, ref = _pair(*instance)
     assert table.counts.dtype == np.int64 and table.counts.has_canonical_format
     assert table.queries == ref.queries
-    assert dict(table.forms) == ref.forms
+    assert exact(table.forms) == exact(ref.forms)
     assert dict(table.lengths) == ref.lengths
     cost = download_cost_form((table,))
     expect = _reference_download_cost_form((ref,) * inst.n_servers)
@@ -186,9 +201,52 @@ def test_reformulate_bitwise_equal_to_reference(instance):
     n_rows = table.counts.shape[0]
     stage2 = _assemble(table, np.arange(n_rows), np.arange(p.c.size), cost).stage2
     expect_c = np.zeros(p.c.size)
+    coeffs = cost.coeffs
     for i in range(size):
-        expect_c[i] = float(cost.coefficient(i))
+        expect_c[i] = float(coeffs.get(i, F(0)))
     assert stage2.c.tobytes() == expect_c.tobytes()
+
+
+_FORMS = [(instance, None) for instance in INSTANCES] + [((SchemeKind.ZYQT, 3, 3, 2), OFF_CLASS)]
+_FORM_IDS = IDS + ["zyqt-3-3-2-off-class"]
+
+
+@pytest.mark.parametrize("instance, form", _FORMS, ids=_FORM_IDS)
+def test_integer_form_matches_fraction_coefficients(instance, form):
+    """The grid, the oracle's cost vector and the assembled cost row read
+    the integer numerators as the coefficient loop over every index
+    reads the Fractions, floats byte for byte; explicit zero numerators
+    seed the partition as absent ones do."""
+    inst = make_scheme(*instance)
+    size, table = inst.alphabet.size, build_query_table(inst, 1)
+    form = form or download_cost_form((table,))
+    coeffs = form.coeffs
+    every = [coeffs.get(i, F(0)) for i in range(size)]
+    lo, hi = form.constant + min(every), form.constant + max(every)
+    assert (form.min_on_simplex(size), form.max_on_simplex(size)) == (lo, hi)
+    assert default_grid(form, size, 1) == [hi]
+    for grid_size in (2, 9):
+        want = [lo + (hi - lo) * F(i, grid_size - 1) for i in range(grid_size)]
+        assert default_grid(form, size, grid_size) == (want if lo != hi else [hi])
+    # brute_force_min_leakage's cost vector
+    want = np.array([float(c) for c in every])
+    assert (form.dense(size) / form.denominator).tobytes() == want.tobytes()
+    rows, cols = optimizer._partition(table, form)
+    fr = _assemble(table, rows, cols, form)
+    first = np.unique(fr.strategy_class, return_index=True)[1].tolist()
+    class_cost = [n * every[s] for n, s in zip(fr.sizes, first)]
+    assert fr.cost.dtype == np.int64
+    assert [F(int(c), form.denominator) for c in fr.cost] == class_cost
+    row = fr.stage1.a_ub[-1]
+    assert row.indices.tolist() == [i for i, c in enumerate(class_cost) if c]
+    assert row.data.tobytes() == np.array([float(c) for c in class_cost if c]).tobytes()
+    want = np.zeros(fr.stage2.c.size)
+    want[:len(class_cost)] = [float(c) for c in class_cost]
+    assert fr.stage2.c.tobytes() == want.tobytes()
+    explicit = LinearForm(np.arange(size), form.dense(size), form.denominator, form.constant)
+    assert (explicit.numerators == 0).any()
+    assert [a.tobytes() for a in optimizer._partition(table, explicit)] \
+        == [rows.tobytes(), cols.tobytes()]
 
 
 _SMALL = [(SchemeKind.OLR, 2, 3, 2), (SchemeKind.ZYQT, 2, 3, 2),

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from forms import exact, linear_form
 from wpir.leakage import (
-    LinearForm,
     ResourceLimitError,
     as_pmf,
     build_all_tables,
@@ -99,7 +99,7 @@ def test_tables_identical_across_servers():
         tables = build_all_tables(inst)
         for tb in tables[1:]:
             assert tb.queries == tables[0].queries
-            assert tb.forms == tables[0].forms
+            assert exact(tb.forms) == exact(tables[0].forms)
             assert tb.lengths == tables[0].lengths
 
 
@@ -248,15 +248,21 @@ def test_table_refuses_entries_above_one_byte():
 
 
 def test_linear_form_helpers():
-    f = LinearForm(coeffs={0: F(4), 1: F(3), 2: F(3)})
+    f = linear_form({0: F(4), 1: F(3), 2: F(3)})
     z = as_pmf((F(1, 2), F(1, 2), 0), 3)
     assert f.evaluate(z) == F(7, 2)
+    f = linear_form({0: F(2, 3), 2: F(-1, 4), 3: F(0)}, constant=F(1, 5))
+    assert (f.indices.tolist(), f.numerators.tolist(), f.denominator) == ([0, 2, 3], [8, -3, 0], 12)
+    assert f.coeffs == {0: F(2, 3), 2: F(-1, 4), 3: F(0)}
+    assert f.dense(5).tolist() == [8, 0, -3, 0, 0]
+    z = as_pmf((F(1, 7), F(2, 7), F(1, 3), F(5, 21), 0), 5)
+    assert f.evaluate(z) == F(1, 5) + F(2, 3) * F(1, 7) - F(1, 4) * F(1, 3)
     # the extremes count an absent coefficient as 0, once, against a
     # loop over every index
     for coeffs, size in (({0: F(4), 2: F(3)}, 3), ({0: F(4), 2: F(3)}, 4),
                          ({1: F(-2), 3: F(-1, 2)}, 4), ({0: F(-1), 1: F(5)}, 2)):
-        f = LinearForm(coeffs=coeffs, constant=F(1, 3))
-        every = [f.coefficient(i) for i in range(size)]
+        f = linear_form(coeffs, constant=F(1, 3))
+        every = [coeffs.get(i, F(0)) for i in range(size)]
         assert f.min_on_simplex(size) == F(1, 3) + min(every)
         assert f.max_on_simplex(size) == F(1, 3) + max(every)
 

@@ -13,9 +13,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from forms import OFF_CLASS as _OFF_CLASS, linear_form
 from wpir import leakage, optimizer
 from wpir.leakage import (
-    LinearForm,
     ResourceLimitError,
     build_all_tables,
     build_query_table,
@@ -183,15 +183,14 @@ def test_reduced_lp_optimum_equals_full_lp(instance):
     assert not solve_lp(frontier(tables, cost).problem(d)).is_optimal
 
 
-# a cost form on zyqt (3,3,2) that splits strategy classes, and its targets
-_OFF_CLASS = LinearForm(coeffs={0: F(3), 5: F(1, 2)}, constant=F(1))
+# targets of the cost form on zyqt (3,3,2) that splits strategy classes
 _OFF_CLASS_TARGETS = (F(1), F(5, 4), F(3, 2), F(4))
 
 
 def _constant_on(form, strategy_class):
     """Whether the form's coefficients agree within every strategy class."""
-    seen = {}
-    return all(seen.setdefault(c, form.coefficient(s)) == form.coefficient(s)
+    seen, coeffs = {}, form.coeffs
+    return all(seen.setdefault(c, coeffs.get(s, F(0))) == coeffs.get(s, F(0))
                for s, c in enumerate(strategy_class.tolist()))
 
 
@@ -315,7 +314,8 @@ def test_explicit_zero_coefficient_seeds_as_absent():
     the same partition, reduced LP and points."""
     inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     assert 7 < inst.alphabet.size and 7 not in _OFF_CLASS.coeffs
-    zeroed = LinearForm(coeffs={**_OFF_CLASS.coeffs, 7: F(0)}, constant=_OFF_CLASS.constant)
+    zeroed = linear_form({**_OFF_CLASS.coeffs, 7: F(0)}, constant=_OFF_CLASS.constant)
+    assert zeroed.indices.tolist() == [0, 5, 7] and zeroed.numerators[-1] == 0
     a, b = frontier(tables, _OFF_CLASS), frontier(tables, zeroed)
     assert a is not b
     assert _lp_bytes(a.stage2) + [a.stage2.b_ub.tobytes(), a.strategy_class.tobytes()] \

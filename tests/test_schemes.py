@@ -24,8 +24,7 @@ from wpir.schemes import (
     strategy_array,
     time_shared_query,
     transmitted_rows,
-    ztsl_size,
-    zyqt_size,
+    _check_alphabet_budget,
 )
 from wpir.storage import FileSet, encode_storage, server_column
 
@@ -60,12 +59,12 @@ def test_enumerate_pnk_edges():
 def test_ztsl_alphabet_3_2():
     alpha = enumerate_strategies(SchemeKind.ZTSL, 3, 2, 2)
     assert alpha.members == ((0, 0), (1, 2), (2, 1))
-    assert alpha.size == ztsl_size(3, 2) == 3
+    assert alpha.size == 3 ** (2 - 1) == 3
 
 
 def test_zyqt_alphabet_sizes():
     alpha = enumerate_strategies(SchemeKind.ZYQT, 3, 2, 2)
-    assert alpha.size == zyqt_size(3, 2, 2) == 36
+    assert alpha.size == 36
     assert alpha.size == math.perm(3, 2) ** 2
 
 
@@ -173,8 +172,8 @@ def test_alphabet_errors_match_reference(args):
 
 
 @pytest.mark.parametrize("kind, m_files, rows", [
-    (SchemeKind.ZYQT, 2, zyqt_size(3, 2, 2)), (SchemeKind.ZTSL, 3, ztsl_size(3, 3)),
-    (SchemeKind.OLR, 3, zyqt_size(3, 2, 2)),
+    (SchemeKind.ZYQT, 2, math.perm(3, 2) ** 2), (SchemeKind.ZTSL, 3, 3 ** (3 - 1)),
+    (SchemeKind.OLR, 3, math.perm(3, 2) ** (3 - 1)),
 ])
 def test_alphabet_guard_counts_rows_before_the_filter(monkeypatch, kind, m_files, rows):
     """P(n,k)^M rows for zyqt, n^(M-1) for ztsl and P(n,k)^(M-1) for olr
@@ -186,9 +185,13 @@ def test_alphabet_guard_counts_rows_before_the_filter(monkeypatch, kind, m_files
         enumerate_strategies(kind, 3, 2, m_files)
 
 
-def test_alphabet_guard_admits_the_largest_built_alphabet():
+def test_alphabet_guard_admits_the_largest_built_alphabet(monkeypatch):
     """ztsl (8,7,4), the retrieval benchmark's instance, has 7^7 members."""
-    assert ztsl_size(7, 8) == 823_543 <= DEFAULT_ALPHABET_GUARD
+    assert 7 ** (8 - 1) == 823_543 <= DEFAULT_ALPHABET_GUARD
+    _check_alphabet_budget(SchemeKind.ZTSL, 7, 4, 8)
+    monkeypatch.setattr("wpir.schemes.DEFAULT_ALPHABET_GUARD", 823_542)
+    with pytest.raises(ResourceLimitError, match="needs 823543 rows"):
+        _check_alphabet_budget(SchemeKind.ZTSL, 7, 4, 8)
 
 
 def test_members_are_built_on_first_use():
