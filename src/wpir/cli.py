@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import (
     MAX_FIELD_SIZE,
@@ -349,14 +348,9 @@ def cmd_simulate(cfg: InstanceConfig, args, stdout) -> int:
         f"analytic={analytic:.6f}",
         "server,query,count,probability",
     ]
-    prior = Fraction(1, inst.m_files)
     for j in sorted(stats.query_counts):
         for q in sorted(stats.query_counts[j], key=lambda q: q.rows):
-            prob = sum(
-                (table.prob_form(q, m).evaluate(z) * prior
-                 for m in range(1, inst.m_files + 1)),
-                Fraction(0),
-            )
+            prob = sum(f.evaluate(z) for f in table.forms[q]) / inst.m_files
             lines.append(
                 f"{j},{serialize_query(q)},{stats.query_counts[j][q]},"
                 f"{float(prob):.12g}"

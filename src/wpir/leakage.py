@@ -3,19 +3,20 @@
 Under time sharing every conditional query probability is an integer
 count over N: P(q|m) at strategy s is the number of shifts t that send
 (m, s) to q, divided by N.  A server's table stores those counts as one
-sparse integer matrix, and every server's table is the same, so the
-analysis builds server 1's alone, in one pass: one `np.lexsort` over
-every (m, s, t) query, read as base-n integer words, numbers the queries
-in the order of their entries.  A linear form holds integer numerators
-over one denominator: a count row over N for P(q|m), integers over M for
-the download cost.  The cost form, the LP rows and the exact leakage are
-all assembled from the counts, and the optimizer partitions those rows
-per cost form (equitable_partition); `Fraction` appears only in the
-exact re-check, in a form's value at an exact PMF and in the coefficient
-views that the table CSV prints.  Floats appear only when taking the
-final log.  Leakage is log2 of the sum, over reachable queries, of the
-largest per-file conditional probability: 0 bits means the query says
-nothing about which file is wanted, log2 M means it says everything.
+sparse integer matrix and its queries as one uint8 array of key rows.
+Every server's table is the same, so the analysis builds server 1's
+alone, in one pass: number_keys numbers every (m, s, t) query in the
+order of its entries, as `simulate_downloads` numbers sampled ones.  A
+linear form holds integer numerators over one denominator: a count row
+over N for P(q|m), integers over M for the download cost.  The cost
+form, the LP rows and the exact leakage are all assembled from the
+counts, and the optimizer partitions those rows per cost form
+(equitable_partition); `Fraction` appears only in the exact re-check, in
+a form's value at an exact PMF and in the coefficient views that the
+table CSV prints.  Floats appear only when taking the final log.
+Leakage is log2 of the sum, over reachable queries, of the largest
+per-file conditional probability: 0 bits means the query says nothing
+about which file is wanted, log2 M means it says everything.
 """
 from __future__ import annotations
 
@@ -70,10 +71,8 @@ class LinearForm:
 
     def evaluate(self, z) -> Fraction:
         """The form at exact probabilities z (Fractions or ints)."""
-        terms = [z[i] for i in self.indices.tolist()]
-        common = math.lcm(*(v.denominator for v in terms))
-        total = sum(c * v.numerator * (common // v.denominator)
-                    for c, v in zip(self.numerators.tolist(), terms))
+        numerators, common = over_common_denominator([z[i] for i in self.indices.tolist()])
+        total = sum(c * v for c, v in zip(self.numerators.tolist(), numerators))
         return self.constant + Fraction(total, self.denominator * common)
 
     def min_on_simplex(self, size: int) -> Fraction:
@@ -81,6 +80,13 @@ class LinearForm:
 
     def max_on_simplex(self, size: int) -> Fraction:
         return self.constant + Fraction(int(self.dense(size).max()), self.denominator)
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Exact rationals (Fractions or ints) as integer numerators over the
+    lcm of their denominators: (numerators, lcm)."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def as_pmf(values, size: int) -> tuple[Fraction, ...]:
@@ -113,21 +119,27 @@ def uniform_pmf(size: int) -> tuple[Fraction, ...]:
 class ConditionalQueryTable:
     """Reachable queries at one server, with P(q|m) as integer counts over N.
 
+    Row qi of `keys` holds query qi's k*M entries, row-major (key_rows).
     Row qi*M + m-1 of `counts` holds, for each strategy s, the number of
-    shifts t that send (m, s) to queries[qi], so P(q|m) = count / N.
-    `answer_lengths[qi]` is the number of sub-responses queries[qi] returns.
+    shifts t that send (m, s) to query qi, so P(q|m) = count / N.
+    `answer_lengths[qi]` is the number of sub-responses query qi returns.
     """
 
     server: int
     m_files: int
     n_servers: int
-    queries: tuple[QueryMatrix, ...]
+    keys: np.ndarray  # read-only uint8, Q x (k*M)
     counts: sparse.csr_matrix  # int64, (Q*M) x |S|
     answer_lengths: np.ndarray  # int64, one per query
 
     @property
     def alphabet_size(self) -> int:
         return self.counts.shape[1]
+
+    @cached_property
+    def queries(self) -> tuple[QueryMatrix, ...]:
+        """The keys as QueryMatrix objects, in key order; built on first use."""
+        return tuple(QueryMatrix.from_bytes(key.tobytes(), self.m_files) for key in self.keys)
 
     @cached_property
     def forms(self) -> MappingProxyType:
@@ -148,8 +160,7 @@ class ConditionalQueryTable:
     @cached_property
     def reductions(self) -> dict:
         """The optimizer's Frontier of each cost form on this table
-        (optimizer.frontier): id(cost form) -> Frontier.  Each Frontier
-        holds its form, so that id is not reused while the entry lives."""
+        (optimizer.frontier), keyed by the form, which hashes by identity."""
         return {}
 
     def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:
@@ -167,7 +178,7 @@ def epigraph_matrix(table: ConditionalQueryTable) -> sparse.csr_matrix:
     rows = np.arange(n_rows)
     epigraph = sparse.csr_matrix((np.full(n_rows, -table.n_servers, dtype=np.int64),
                                   (rows, rows // table.m_files)),
-                                 shape=(n_rows, len(table.queries)))
+                                 shape=(n_rows, len(table.keys)))
     return sparse.hstack([table.counts, epigraph], format="csr")
 
 
@@ -269,48 +280,61 @@ def check_table_budget(inst: SchemeInstance, n_tables: int) -> None:
                                  f"steps ({size}*{n}*{m}), budget {DEFAULT_TABLE_GUARD}")
 
 
-def build_query_table(inst: SchemeInstance, j: int) -> ConditionalQueryTable:
-    """Tabulate P(q|m) at server j from every (m, s, t) query at once.
+def key_rows(inst: SchemeInstance, m: int, strategies: np.ndarray, j: int) -> np.ndarray:
+    """Server j's base queries for file m (query_rows) as key rows of k*M
+    uint8 entries, row-major; ValueError when n > 256 overflows a byte."""
+    if inst.params.n > 256:
+        raise ValueError(f"query entries below n={inst.params.n} do not fit one byte")
+    rows = query_rows(inst, m, strategies, j)
+    return rows.astype(np.uint8).reshape(-1, inst.params.k * inst.m_files)
 
-    Each strategy s and uniform shift t add one to the count of the
-    realized time-shared query.  A query is a key of k*M entries below n,
-    read as base-n words of at most 63 bits, first entry most significant;
-    one np.lexsort of the words numbers the queries in the lexicographic
-    order of their entries.  A query's answer length is its number of
-    rows whose smallest entry is below lambda.  Entries travel as one byte
-    each (QueryMatrix.from_bytes), so n is at most 256.  See
-    check_table_budget for the budget.
-    """
-    check_table_budget(inst, 1)
-    base = inst.params.n
-    if base > 256:
-        raise ValueError(f"query entries below n={base} do not fit one byte")
-    strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
-    size, k = len(strategies), inst.params.k
-    hits = np.stack([
-        query_rows(inst, m, strategies, cyclic_shift(j, t - 1, n)).astype(np.uint8)
-        for m in range(1, m_files + 1) for t in range(1, n + 1)
-    ]).reshape(-1, k * m_files)  # (m, t, s) x (k*M)
+
+def number_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number key rows in the lexicographic order of their entries, read as
+    base-`base` words of at most 63 bits, first entry most significant, by
+    one np.lexsort (_group): each row's key number, and one row per key."""
     per_word = 1
     while base ** (per_word + 1) <= 2**63:
         per_word += 1
     words = [chunk @ base ** np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
-             for chunk in np.split(hits, range(per_word, hits.shape[1], per_word), axis=1)]
-    inverse, first = _group(words[::-1])
+             for chunk in np.split(rows, range(per_word, rows.shape[1], per_word), axis=1)]
+    return _group(words[::-1])
+
+
+def key_answer_lengths(keys: np.ndarray, params) -> np.ndarray:
+    """Each key's number of transmitted sub-responses, int64: a row is sent
+    iff its smallest entry is below lambda."""
+    lowest = keys.reshape(-1, params.k, keys.shape[1] // params.k).min(axis=2)
+    return (lowest < params.lam).sum(axis=1, dtype=np.int64)
+
+
+def build_query_table(inst: SchemeInstance, j: int) -> ConditionalQueryTable:
+    """Tabulate P(q|m) at server j from every (m, s, t) query at once.
+
+    Each strategy s and uniform shift t add one to the count of the
+    realized time-shared query.  Every query is a key row (key_rows), and
+    number_keys numbers them in the lexicographic order of their entries;
+    the table keeps one row per key and builds no QueryMatrix.  See
+    check_table_budget for the budget.
+    """
+    check_table_budget(inst, 1)
+    strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
+    size = len(strategies)
+    hits = np.concatenate([
+        key_rows(inst, m, strategies, cyclic_shift(j, t - 1, n))
+        for m in range(1, m_files + 1) for t in range(1, n + 1)
+    ])  # (m, t, s) x (k*M)
+    inverse, first = number_keys(hits, inst.params.n)
     keys = hits[first]
-    del hits, words
+    keys.setflags(write=False)
+    del hits
     rows = inverse * m_files + np.repeat(np.arange(m_files), n * size)
     cols = np.tile(np.arange(size), m_files * n)
     counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
                                shape=(len(keys) * m_files, size))
-    del inverse, rows, cols  # freed before the query objects, which set the peak RSS
-    lowest = keys.reshape(-1, k, m_files).min(axis=2)
-    lengths = (lowest < inst.params.lam).sum(axis=1, dtype=np.int64)
-    data, width = keys.tobytes(), keys.shape[1]
-    queries = tuple(QueryMatrix.from_bytes(data[i:i + width], m_files)
-                    for i in range(0, len(data), width))
-    return ConditionalQueryTable(server=j, m_files=m_files, n_servers=n, queries=queries,
-                                 counts=counts, answer_lengths=lengths)
+    return ConditionalQueryTable(server=j, m_files=m_files, n_servers=n, keys=keys,
+                                 counts=counts,
+                                 answer_lengths=key_answer_lengths(keys, inst.params))
 
 
 def build_all_tables(inst: SchemeInstance) -> tuple[ConditionalQueryTable, ...]:
@@ -322,8 +346,8 @@ def build_all_tables(inst: SchemeInstance) -> tuple[ConditionalQueryTable, ...]:
 def shared_table(tables) -> ConditionalQueryTable:
     """The table every server shares under time sharing.
 
-    Raises ValueError when two of the given tables differ.  Count arrays
-    are compared entry by entry unless the tables share one.
+    Raises ValueError when two of the given tables differ: their keys,
+    answer lengths and count arrays are compared entry by entry.
     """
     tables = tuple(tables)
     first = tables[0]
@@ -331,15 +355,12 @@ def shared_table(tables) -> ConditionalQueryTable:
         a, b = tb.counts, first.counts
         same = (
             tb.n_servers == first.n_servers
-            and tb.queries == first.queries
+            and np.array_equal(tb.keys, first.keys)
             and np.array_equal(tb.answer_lengths, first.answer_lengths)
-            and (
-                a is b
-                or a.shape == b.shape
-                and np.array_equal(a.indptr, b.indptr)
-                and np.array_equal(a.indices, b.indices)
-                and np.array_equal(a.data, b.data)
-            )
+            and a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
         )
         if not same:
             raise ValueError(
@@ -359,10 +380,8 @@ class LeakageValue:
 
 def maxl(table: ConditionalQueryTable, z) -> LeakageValue:
     """log2 of the summed per-query maxima of P(q|m) at the PMF z."""
-    zf = as_pmf(z, table.alphabet_size)
-    common = math.lcm(*(v.denominator for v in zf))
-    numerators = [v.numerator * (common // v.denominator) for v in zf]
-    return leakage_at(table, table.counts, numerators, common)
+    return leakage_at(table, table.counts,
+                      *over_common_denominator(as_pmf(z, table.alphabet_size)))
 
 
 def leakage_at(table, counts, numerators, common: int) -> LeakageValue:
@@ -381,12 +400,10 @@ def leakage_at(table, counts, numerators, common: int) -> LeakageValue:
     per_row = running[c.indptr[1:]] - running[c.indptr[:-1]]
     per_query = per_row.reshape(-1, table.m_files).max(axis=1)
     total = Fraction(int(per_query.sum()), table.n_servers * common)
-    bits = math.log2(total) if total != 1 else 0.0
-    if table.m_files == 1:
+    if table.m_files == 1 or total == 1:
         return LeakageValue(raw_sum=total, bits=0.0, normalized=0.0)
-    return LeakageValue(
-        raw_sum=total, bits=bits, normalized=bits / math.log2(table.m_files)
-    )
+    bits = math.log2(total)
+    return LeakageValue(raw_sum=total, bits=bits, normalized=bits / math.log2(table.m_files))
 
 
 def download_cost_form(tables) -> LinearForm:

@@ -35,6 +35,7 @@ from .leakage import (
     equitable_partition,
     leakage_at,
     maxl,
+    over_common_denominator,
     shared_table,
 )
 
@@ -95,7 +96,7 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     """
     table = shared_table(tables)
     n_rows, n_z = table.counts.shape
-    cols = np.arange(n_z + len(table.queries))
+    cols = np.arange(n_z + len(table.keys))
     p = _assemble(table, np.arange(n_rows), cols, cost_form).problem(d_target)
     return replace(p, method="highs-ipm")
 
@@ -174,8 +175,7 @@ class Frontier:
 
     def _exact(self, w):
         """Exact leakage and cost at the class probabilities w."""
-        common = math.lcm(*(v.denominator for v in w))
-        numerators = [v.numerator * (common // v.denominator) for v in w]
+        numerators, common = over_common_denominator(w)
         cost = sum(c * v for c, v in zip(self.cost.tolist(), numerators))
         d = self.cost_form.constant + Fraction(cost, self.cost_form.denominator * common)
         return leakage_at(self, self.by_class, numerators, common), d
@@ -227,7 +227,7 @@ def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
     strategy, so they split no class and are left out.
     """
     colors = cost_form.dense(table.alphabet_size)
-    cols = np.append(colors, np.full(len(table.queries), colors.max() + 1))
+    cols = np.append(colors, np.full(len(table.keys), colors.max() + 1))
     return equitable_partition(epigraph_matrix(table),
                                np.zeros(table.counts.shape[0], dtype=np.int64), cols)
 
@@ -280,9 +280,9 @@ def frontier(tables, cost_form: LinearForm) -> Frontier:
     cost form and kept in the table's `reductions`."""
     table = shared_table(tables)
     memo = table.reductions
-    if id(cost_form) not in memo:
-        memo[id(cost_form)] = _assemble(table, *_partition(table, cost_form), cost_form)
-    return memo[id(cost_form)]
+    if cost_form not in memo:
+        memo[cost_form] = _assemble(table, *_partition(table, cost_form), cost_form)
+    return memo[cost_form]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldMatrix, solve_linear
-from .leakage import ResourceLimitError
+from .leakage import ResourceLimitError, key_answer_lengths, key_rows, number_keys
 from .schemes import (
     QueryMatrix,
     SchemeInstance,
@@ -32,6 +32,7 @@ from .schemes import (
     answer,
     answer_length,
     answer_positions,
+    cyclic_shift,
     time_shared_query,
 )
 from .storage import EncodedStorage, server_column
@@ -375,7 +376,12 @@ class SimulationStats:
 def simulate_downloads(
     inst: SchemeInstance, z, count: int, seed: int
 ) -> SimulationStats:
-    """Sample (s ~ z, t uniform, m uniform) query streams without decoding."""
+    """Sample (s ~ z, t uniform, m uniform) query streams without decoding.
+
+    Each server's queries are built as key rows, one `key_rows` call per
+    drawn (m, t), and counted per distinct key with the table's numbering
+    (number_keys); only distinct queries become QueryMatrix objects.
+    """
     if count < 1:
         raise ValueError("need at least one sample")
     weights = [float(v) for v in z]
@@ -383,20 +389,21 @@ def simulate_downloads(
         raise ValueError("PMF length does not match the alphabet")
     rng = random.Random(seed)
     s_indices = rng.choices(range(inst.alphabet.size), weights=weights, k=count)
-    stats = SimulationStats(count=count, seed=seed, total_downloaded=0)
-    counts: dict[int, dict[QueryMatrix, int]] = {
-        j: {} for j in range(1, inst.n_servers + 1)
-    }
+    drawn: dict[tuple[int, int], list[int]] = {}
     for si in s_indices:
-        s = inst.alphabet.array[si]
-        m = rng.randrange(1, inst.m_files + 1)
-        t = rng.randrange(1, inst.n_servers + 1)
-        for j in range(1, inst.n_servers + 1):
-            q = time_shared_query(inst, m, s, t, j)
-            stats.total_downloaded += answer_length(q, inst.params)
-            bucket = counts[j]
-            bucket[q] = bucket.get(q, 0) + 1
-    stats.query_counts = counts
+        m_t = rng.randrange(1, inst.m_files + 1), rng.randrange(1, inst.n_servers + 1)
+        drawn.setdefault(m_t, []).append(si)
+    stats = SimulationStats(count=count, seed=seed, total_downloaded=0)
+    for j in range(1, inst.n_servers + 1):
+        rows = np.concatenate([
+            key_rows(inst, m, inst.alphabet.array[members].astype(np.int64),
+                     cyclic_shift(j, t - 1, inst.n_servers))
+            for (m, t), members in drawn.items()])
+        inverse, first = number_keys(rows, inst.params.n)
+        keys, tally = rows[first], np.bincount(inverse)
+        stats.total_downloaded += int(tally @ key_answer_lengths(keys, inst.params))
+        stats.query_counts[j] = {QueryMatrix.from_bytes(key.tobytes(), inst.m_files): c
+                                 for key, c in zip(keys, tally.tolist())}
     return stats
 
 

@@ -78,25 +78,6 @@ class FileSet:
     def zeros(cls, m_files: int, lam: int, dim: int, fld: PrimeField) -> "FileSet":
         return cls(FieldMatrix.zeros(lam, dim, fld) for _ in range(m_files))
 
-    @classmethod
-    def from_text(cls, text: str, fld: PrimeField) -> "FileSet":
-        """Parse files from plain text: one row per line, space-separated
-        residues mod q, files separated by blank lines."""
-        blocks, current = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            current.append([int(tok) % fld.q for tok in line.split()])
-        if current:
-            blocks.append(current)
-        if not blocks:
-            raise ValueError("no file data found")
-        return cls(FieldMatrix.from_ints(b, fld) for b in blocks)
-
 
 @dataclass(frozen=True, eq=False)
 class EncodedStorage:

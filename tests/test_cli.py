@@ -12,7 +12,7 @@ import wpir
 from wpir import cli, optimizer
 from wpir.cli import build_parser, main, resolve_config
 from wpir.leakage import ResourceLimitError, build_query_table, table_to_csv
-from wpir.schemes import SchemeKind, make_scheme
+from wpir.schemes import QueryMatrix, SchemeKind, make_scheme
 
 
 def run_cli(argv):
@@ -235,6 +235,23 @@ def test_plot_script_requires_out(tmp_path):
     )
     assert code == 2
     assert not script.exists()
+
+
+def test_tradeoff_builds_no_query_matrix(monkeypatch):
+    """A sweep reads the table's key rows only: zyqt (2,5,3) has 3,600
+    queries, and none becomes a QueryMatrix."""
+    built, init = [], QueryMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryMatrix, "__init__", counting_init)
+    code, _ = run_cli(["tradeoff", "--scheme", "zyqt", "--files", "2", "--servers", "5",
+                       "--dim", "3", "--grid", "2"])
+    assert (code, built) == (0, [])
+    QueryMatrix(((0,),))
+    assert len(built) == 1  # the count is live
 
 
 def _record_calls(monkeypatch, names=("make_scheme", "simulate_downloads")):

@@ -296,19 +296,17 @@ def test_mismatched_count_tables_rejected():
         replace(table, counts=bumped),
         replace(table, n_servers=4),
         replace(table, answer_lengths=table.answer_lengths + 1),
-        replace(table, queries=table.queries[::-1]),
+        replace(table, keys=table.keys[::-1]),
     ):
         with pytest.raises(ValueError):
             reformulate((table, other), cost, 4)
         with pytest.raises(ValueError):
             download_cost_form((table, other))
-    # tables sharing one count array skip the entry-by-entry compare
-    assert shared_table((table, replace(table, server=2))) is table
 
 
 def _reference_unique_numbering(inst, j):
-    """build_query_table's queries, counts and answer lengths with the
-    queries numbered by one np.unique over the bytes of their entries."""
+    """build_query_table's keys, queries, counts and answer lengths with
+    the queries numbered by one np.unique over the bytes of their entries."""
     strategies, m_files, n = strategy_array(inst), inst.m_files, inst.n_servers
     size, width = len(strategies), inst.params.k * m_files
     hits = np.stack([
@@ -324,7 +322,7 @@ def _reference_unique_numbering(inst, j):
     queries = tuple(QueryMatrix.from_bytes(data[i:i + width], m_files)
                     for i in range(0, len(data), width))
     lengths = np.array([answer_length(q, inst.params) for q in queries], dtype=np.int64)
-    return queries, counts, lengths
+    return keys, queries, counts, lengths
 
 
 _NUMBERED = [(i, 1) for i in INSTANCES] + [
@@ -337,12 +335,15 @@ _NUMBERED = [(i, 1) for i in INSTANCES] + [
                          ids=[f"{k.value}-{m}-{n}-{d}-j{j}" for (k, m, n, d), j in _NUMBERED])
 def test_query_numbering_equals_unique_bytes_reference(instance, server):
     """Queries numbered from base-n words, in one or more 63-bit words,
-    come in the byte order of np.unique: the same queries, counts and
-    answer lengths.  ztsl (4,7,6) has 24-entry keys over n = 7 (67 bits)
+    come in the byte order of np.unique: the same keys (read-only uint8),
+    queries, counts and answer lengths.  ztsl (4,7,6) has 24-entry keys over n = 7 (67 bits)
     and ztsl (7,5,4) 28 entries over n = 5 (65 bits): two words each."""
     inst = make_scheme(*instance)
     table = build_query_table(inst, server)
-    queries, counts, lengths = _reference_unique_numbering(inst, server)
+    keys, queries, counts, lengths = _reference_unique_numbering(inst, server)
+    assert table.keys.dtype == np.uint8 and not table.keys.flags.writeable
+    assert table.keys.shape == (len(keys), inst.params.k * inst.m_files)
+    assert table.keys.tobytes() == keys.tobytes()
     assert table.queries == queries
     assert table.counts.shape == counts.shape
     for part in ("data", "indices", "indptr"):

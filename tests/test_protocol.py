@@ -242,6 +242,56 @@ def test_simulate_downloads_counts():
     assert again.total_downloaded == stats.total_downloaded
 
 
+def _reference_simulation(inst, z, count, seed):
+    """The per-sample simulator, as a reference: the same draws, then one
+    time_shared_query and answer_length per sample and server, counted in
+    a dict.  Returns (query_counts, total_downloaded)."""
+    rng = random.Random(seed)
+    s_indices = rng.choices(range(inst.alphabet.size), weights=[float(v) for v in z], k=count)
+    counts = {j: {} for j in range(1, inst.n_servers + 1)}
+    total = 0
+    for si in s_indices:
+        s = inst.alphabet.array[si]
+        m = rng.randrange(1, inst.m_files + 1)
+        t = rng.randrange(1, inst.n_servers + 1)
+        for j, bucket in counts.items():
+            q = time_shared_query(inst, m, s, t, j)
+            total += answer_length(q, inst.params)
+            bucket[q] = bucket.get(q, 0) + 1
+    return counts, total
+
+
+_SIMULATED = [
+    ((SchemeKind.ZTSL, 2, 3, 2), "uniform", 600, 3),
+    ((SchemeKind.ZYQT, 3, 3, 2), "uniform", 600, 4),
+    ((SchemeKind.OLR, 3, 5, 3), "uniform", 400, 5),
+    ((SchemeKind.OLR, 1, 4, 2), "uniform", 50, 6),
+    ((SchemeKind.ZYQT, 2, 3, 2), "uniform", 1, 7),
+    ((SchemeKind.ZTSL, 3, 4, 2), "zero-weights", 400, 8),
+    ((SchemeKind.ZTSL, 8, 7, 4), "uniform", 20, 1),
+]
+
+
+@pytest.mark.parametrize("instance, pmf, count, seed", _SIMULATED,
+                         ids=[f"{k.value}-{m}-{n}-{d}-{p}-{c}"
+                              for (k, m, n, d), p, c, _ in _SIMULATED])
+def test_simulation_equals_per_sample_reference(instance, pmf, count, seed, monkeypatch):
+    """The simulator counts key rows with the table's numbering and gives
+    the per-sample loop's query counts and download total exactly, without
+    time_shared_query or answer_length, and without the member tuples."""
+    inst = make_scheme(*instance)
+    size = inst.alphabet.size
+    z = [1] * size if pmf == "uniform" else [i % 2 for i in range(size)]
+    for name in ("time_shared_query", "answer_length"):
+        monkeypatch.setattr(f"wpir.protocol.{name}", None)
+    stats = simulate_downloads(inst, z, count=count, seed=seed)
+    monkeypatch.undo()
+    counts, total = _reference_simulation(inst, z, count, seed)
+    assert stats.query_counts == counts
+    assert stats.total_downloaded == total
+    assert "members" not in vars(inst.alphabet)
+
+
 def test_retrieval_and_simulation_leave_members_unbuilt():
     """Both read strategies from the alphabet's array: ztsl (8,7,4) never
     builds its 823,543 member tuples, and the array takes 8 bytes a member."""

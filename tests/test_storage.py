@@ -46,15 +46,6 @@ def test_fileset_random_reproducible():
     assert f1.files != f3.files
 
 
-def test_fileset_from_text():
-    fs = FileSet.from_text("1 2\n\n0 1\n", GF3)
-    assert fs.m_files == 2
-    assert fs.file(1).to_ints() == [[1, 2]]
-    assert fs.file(2).to_ints() == [[0, 1]]
-    with pytest.raises(ValueError):
-        FileSet.from_text("\n\n", GF3)
-
-
 def test_zero_files_zero_columns():
     code = make_rs_code(3, 2, GF3)
     st = encode_storage(FileSet.zeros(2, 1, 2, GF3), code)
