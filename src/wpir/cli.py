@@ -11,6 +11,9 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .fields import (
     MAX_FIELD_SIZE,
@@ -348,9 +351,14 @@ def cmd_simulate(cfg: InstanceConfig, args, stdout) -> int:
         f"analytic={analytic:.6f}",
         "server,query,count,probability",
     ]
+    # at uniform z, P(q) is q's count total over M files, N shifts and |S|
+    totals = np.asarray(table.counts.sum(axis=1)).reshape(-1, inst.m_files).sum(axis=1)
+    index = {key.tobytes(): qi for qi, key in enumerate(table.keys)}
+    denominator = inst.m_files * table.n_servers * inst.alphabet.size
     for j in sorted(stats.query_counts):
         for q in sorted(stats.query_counts[j], key=lambda q: q.rows):
-            prob = sum(f.evaluate(z) for f in table.forms[q]) / inst.m_files
+            qi = index[bytes(v for row in q.rows for v in row)]
+            prob = Fraction(int(totals[qi]), denominator)
             lines.append(
                 f"{j},{serialize_query(q)},{stats.query_counts[j][q]},"
                 f"{float(prob):.12g}"

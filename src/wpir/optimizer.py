@@ -19,8 +19,9 @@ brute-force simplex-grid search validates the LP from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +47,9 @@ MAX_DUALITY_GAP = 1e-9
 # largest barycentric grid enumerated by the brute-force oracle
 DEFAULT_GRID_GUARD = 5_000_000
 _CHUNK = 250_000
+# grid points the oracle scores at once: a queries x _BLOCK accumulator
+# stays in cache, where a whole chunk's would stream through memory
+_BLOCK = 4096
 # solver outputs sit within float tolerance of a rational face; snapping
 # is accepted only when it does not worsen the exact cost or leakage
 _SNAP_DENOMINATOR = 1_000_000
@@ -213,7 +217,8 @@ class Frontier:
             leakage_bits=val.bits,
             leakage_normalized=val.normalized,
             rate=Fraction(lam * dim) / d_achieved,
-            z=tuple(w[c] for c in self.strategy_class.tolist()),
+            weights=tuple(w),
+            strategy_class=self.strategy_class,
         )
 
 
@@ -287,7 +292,13 @@ def frontier(tables, cost_form: LinearForm) -> Frontier:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One point on the optimal leakage/download frontier."""
+    """One point on the optimal leakage/download frontier.
+
+    `weights[C]` is the probability of each strategy of class C and
+    `strategy_class[s]` is s's class; the PMF z, one probability per
+    strategy, is built from them on first read.  Points compare equal
+    when their values and their z are equal.
+    """
 
     d_target: Fraction
     d_achieved: Fraction
@@ -295,7 +306,21 @@ class TradeoffPoint:
     leakage_bits: float
     leakage_normalized: float
     rate: Fraction
-    z: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...] = field(repr=False, compare=False)
+    strategy_class: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def z(self) -> tuple[Fraction, ...]:
+        return tuple(self.weights[c] for c in self.strategy_class.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _values(self) -> tuple:
+        return (self.d_target, self.d_achieved, self.leakage_sum, self.leakage_bits,
+                self.leakage_normalized, self.rate, self.z)
 
 
 def _class_pmf(weights, sizes) -> list[Fraction]:
@@ -421,19 +446,26 @@ def brute_force_min_leakage(
     best_sum = None
     best_row = None
     for arr in _composition_chunks(total, size):
-        z = arr / float(total)
-        feasible = z @ cost_vec <= cost_cap
-        if not feasible.any():
-            continue
-        zf = z[feasible]
-        acc = per_m[0] @ zf.T
-        for mat in per_m[1:]:
-            np.maximum(acc, mat @ zf.T, out=acc)
-        sums = acc.sum(axis=0)
-        idx = int(np.argmin(sums))
-        if best_sum is None or sums[idx] < best_sum:
-            best_sum = float(sums[idx])
-            best_row = arr[feasible][idx]
+        for first in range(0, len(arr), _BLOCK):
+            block = arr[first : first + _BLOCK]
+            z = block / float(total)
+            feasible = z @ cost_vec <= cost_cap
+            kept = np.count_nonzero(feasible)
+            if not kept:
+                continue
+            zf = z if kept == len(z) else z[feasible]
+            if kept == 1:
+                # a one-column product goes to gemv, whose last bits differ
+                # from gemm's: score the point as two equal columns
+                zf = np.repeat(zf, 2, axis=0)
+            acc = per_m[0] @ zf.T
+            for mat in per_m[1:]:
+                np.maximum(acc, mat @ zf.T, out=acc)
+            sums = acc.sum(axis=0)
+            idx = int(np.argmin(sums))
+            if best_sum is None or sums[idx] < best_sum:
+                best_sum = float(sums[idx])
+                best_row = block[feasible][idx]
     if best_sum is None:
         raise ValueError(f"no grid point satisfies download cost <= {d_target}")
     z_best = tuple(Fraction(int(v), total) for v in best_row)

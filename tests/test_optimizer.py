@@ -559,7 +559,7 @@ def test_frontier_z_pinned():
 ORACLE_SHA256 = "fe2e9efe452f7d694b3f19b5315855379f52d1e378a36a2028ae271a02b8c363"
 
 
-def test_oracle_outputs_pinned():
+def _oracle_digest():
     targets = (F(2), F(5, 2), F(3), F(7, 2), F(4))
     cases = [(SchemeKind.OLR, F(1, 30), targets),
              (SchemeKind.ZTSL, F(1, 50), (F(3), F(13, 4), F(7, 2), F(15, 4), F(4))),
@@ -571,7 +571,42 @@ def test_oracle_outputs_pinned():
         for d in ds:
             result = brute_force_min_leakage(tables[0], cost, d, step=step)
             digest.update(repr((kind.value, step, d, result)).encode())
-    assert digest.hexdigest() == ORACLE_SHA256
+    return digest.hexdigest()
+
+
+def test_oracle_outputs_pinned():
+    assert _oracle_digest() == ORACLE_SHA256
+
+
+@pytest.mark.parametrize("block", [64, optimizer._CHUNK])
+def test_oracle_block_size_changes_nothing(monkeypatch, block):
+    """Scoring in blocks of 64 points, or each chunk in one piece, gives
+    the pinned answers."""
+    monkeypatch.setattr("wpir.optimizer._BLOCK", block)
+    assert _oracle_digest() == ORACLE_SHA256
+
+
+@pytest.mark.parametrize("kind,step,block", [(SchemeKind.OLR, F(1, 30), 7),
+                                             (SchemeKind.ZYQT, F(1, 4), 2)])
+def test_oracle_blocks_cut_the_feasible_region(monkeypatch, kind, step, block):
+    """Block boundaries between two feasible points, and blocks that keep
+    one point (a one-column product, which numpy sends to gemv), change
+    no answer from scoring each chunk in one piece."""
+    inst, tables, cost = setup_scheme(kind)
+    total, size = int(1 / step), inst.alphabet.size
+    for d in (F(5, 2), F(7, 2)):
+        cap = math.floor((d - cost.constant) * cost.denominator * total)
+        cut = one = False
+        for arr in optimizer._composition_chunks(total, size):
+            ok = arr @ cost.dense(size) <= cap
+            starts = np.arange(block, len(arr), block)
+            cut |= bool((ok[starts - 1] & ok[starts]).any())
+            one |= bool((np.add.reduceat(ok, np.arange(0, len(arr), block)) == 1).any())
+        assert cut and one
+        monkeypatch.setattr("wpir.optimizer._BLOCK", optimizer._CHUNK)
+        whole = brute_force_min_leakage(tables[0], cost, d, step=step)
+        monkeypatch.setattr("wpir.optimizer._BLOCK", block)
+        assert brute_force_min_leakage(tables[0], cost, d, step=step) == whole
 
 
 def test_composition_grid_count():

@@ -37,3 +37,34 @@ def test_benchmark_per_layer_names_match_the_tracer(perfbench):
     traced = [metric for metric, *_ in layers.PER_LAYER]
     assert [m["name"] for m in declared] == traced + [
         "trace.coverage", "trace.overhead_ratio", "trace.ops"]
+
+
+def test_oracle_draws_every_grid_point_from_the_traced_generator(perfbench, monkeypatch):
+    """The benchmark counts optimizer.oracle_grid_points on the rows the
+    traced generator yields: the oracle must draw its whole grid from it,
+    in one call, or the per-layer metric reads 0."""
+    from fractions import Fraction
+
+    from wpir import optimizer
+    from wpir.leakage import build_query_table, download_cost_form
+    from wpir.schemes import SchemeKind, make_scheme
+
+    layers, tracer = perfbench
+    (patch,) = [p for p in layers.PATCHES if "optimizer.oracle_grid_points" in p.feeds]
+    owner, attr = tracer._resolve(patch.target)
+    assert owner is optimizer
+    real, calls, rows = getattr(owner, attr), [], []
+
+    def counting(*args):
+        calls.append(args)
+        for chunk in real(*args):
+            rows.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(owner, attr, counting)
+    table = build_query_table(make_scheme(SchemeKind.OLR, 2, 3, 2), 1)
+    assert table.alphabet_size == 6
+    optimizer.brute_force_min_leakage(table, download_cost_form((table,)), 4,
+                                      step=Fraction(1, 30))
+    assert len(calls) == 1
+    assert sum(rows) == optimizer.grid_point_count(30, 6)
