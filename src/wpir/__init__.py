@@ -27,6 +27,7 @@ from .optimizer import (
     TradeoffPoint,
     brute_force_min_leakage,
     default_grid,
+    frontier,
     solve_tradeoff_point,
 )
 from .protocol import (
@@ -80,6 +81,7 @@ __all__ = [
     "download_cost_form",
     "effective_params",
     "encode_storage",
+    "frontier",
     "is_prime",
     "make_rs_code",
     "make_scheme",

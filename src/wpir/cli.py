@@ -34,7 +34,7 @@ from .leakage import (
     uniform_pmf,
 )
 from .mds import MdsCode, make_rs_code
-from .optimizer import default_grid, solve_tradeoff_point
+from .optimizer import default_grid, frontier, solve_tradeoff_point
 from .protocol import MAX_SERVERS, simulate_downloads, verify_retrievability
 from .schemes import SchemeKind, make_scheme
 from .storage import FileSet, effective_params, encode_storage
@@ -249,10 +249,9 @@ def cmd_tradeoff(cfg: InstanceConfig, args, stdout) -> int:
     lines = [
         "scheme,M,N,K,D_target,D_achieved,leakage_bits,leakage_normalized,rate"
     ]
+    fr = frontier(tables, cost)
     for d_target in targets:
-        pt = solve_tradeoff_point(
-            tables, cost, d_target, inst.params.lam, inst.dim
-        )
+        pt = solve_tradeoff_point(fr, d_target, inst.params.lam, inst.dim)
         if pt is None:
             lines.append(f"# infeasible at D_target={float(d_target):.12g}")
             continue

@@ -2,18 +2,19 @@
 
 Under time sharing every conditional query probability is an integer
 count over N: P(q|m) at strategy s is the number of shifts t that send
-(m, s) to q, divided by N.  A server's table stores those counts as one
-sparse integer matrix and its queries as one uint8 array of key rows.
-Every server's table is the same, so the analysis builds server 1's
-alone, in one pass: number_keys numbers every (m, s, t) query in the
-order of its entries, as `simulate_downloads` numbers sampled ones.  A
+(m, s) to q, divided by N.  A server's table holds only arrays: those
+counts as one sparse integer matrix, its queries as one uint8 array of
+key rows, and their answer lengths.  Every server's table is the same,
+so the analysis builds server 1's alone, in one pass: number_keys
+numbers every (m, s, t) query in the order of its entries, as
+`simulate_downloads` numbers sampled ones.  A
 linear form holds integer numerators over one denominator: a count row
 over N for P(q|m), integers over M for the download cost.  The cost
 form, the LP rows and the exact leakage are all assembled from the
 counts, and the optimizer partitions those rows per cost form
 (equitable_partition); `Fraction` appears only in the exact re-check, in
-a form's value at an exact PMF and in the coefficient views that the
-table CSV prints.  Floats appear only when taking the final log.
+a form's value at an exact PMF and in the coefficients that the table
+CSV prints.  Floats appear only when taking the final log.
 Leakage is log2 of the sum, over reachable queries, of the largest
 per-file conditional probability: 0 bits means the query says nothing
 about which file is wanted, log2 M means it says everything.
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -102,15 +102,6 @@ def as_pmf(values, size: int) -> tuple[Fraction, ...]:
     return z
 
 
-def normalize_pmf(values) -> tuple[Fraction, ...]:
-    """Clamp tiny negatives and rescale to an exact PMF."""
-    z = [max(Fraction(v), Fraction(0)) for v in values]
-    total = sum(z)
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero vector")
-    return tuple(v / total for v in z)
-
-
 def uniform_pmf(size: int) -> tuple[Fraction, ...]:
     return (Fraction(1, size),) * size
 
@@ -140,35 +131,6 @@ class ConditionalQueryTable:
     def queries(self) -> tuple[QueryMatrix, ...]:
         """The keys as QueryMatrix objects, in key order; built on first use."""
         return tuple(QueryMatrix.from_bytes(key.tobytes(), self.m_files) for key in self.keys)
-
-    @cached_property
-    def forms(self) -> MappingProxyType:
-        """Read-only view: query -> P(q|m), a count row over N, per file."""
-        c, n, m = self.counts, self.n_servers, self.m_files
-        indices, bounds = c.indices.astype(np.int64), c.indptr.tolist()
-        rows = [LinearForm(indices[lo:hi], c.data[lo:hi], n)
-                for lo, hi in zip(bounds, bounds[1:])]
-        return MappingProxyType(
-            {q: tuple(rows[qi * m:(qi + 1) * m]) for qi, q in enumerate(self.queries)}
-        )
-
-    @cached_property
-    def lengths(self) -> MappingProxyType:
-        """Read-only view: query -> answer length."""
-        return MappingProxyType(dict(zip(self.queries, self.answer_lengths.tolist())))
-
-    @cached_property
-    def reductions(self) -> dict:
-        """The optimizer's Frontier of each cost form on this table
-        (optimizer.frontier), keyed by the form, which hashes by identity."""
-        return {}
-
-    def prob_form(self, q: QueryMatrix, m: int) -> LinearForm:
-        """P(q | m) as a linear form; m is 1-based."""
-        return self.forms[q][m - 1]
-
-    def length(self, q: QueryMatrix) -> int:
-        return self.lengths[q]
 
 
 def epigraph_matrix(table: ConditionalQueryTable) -> sparse.csr_matrix:
@@ -425,22 +387,17 @@ def serialize_query(q: QueryMatrix) -> str:
     return "|".join(" ".join(str(e) for e in row) for row in q.rows)
 
 
-def serialize_form(f: LinearForm) -> str:
-    """Sparse 'z<i>:<frac>' pairs with 1-based strategy indices."""
-    parts = [f"z{i + 1}:{c}" for i, c in f.coeffs.items()]
-    if f.constant != 0 or not parts:
-        parts.insert(0, str(f.constant))
-    return " ".join(parts)
-
-
 def table_to_csv(table: ConditionalQueryTable) -> str:
-    """One row per (query, m): server, query, m, coefficients, length."""
+    """One row per (query, m): server, query, m, P(q|m) as one
+    'z<i>:<count/N>' pair per nonzero count, with 1-based strategy
+    indices, and the query's answer length."""
+    c, n = table.counts, table.n_servers
+    bounds, lengths = c.indptr.tolist(), table.answer_lengths.tolist()
     lines = ["server,query,m,coefficients,length"]
-    for q in table.queries:
-        for m in range(1, table.m_files + 1):
-            lines.append(
-                f"{table.server},{serialize_query(q)},{m},"
-                f"{serialize_form(table.prob_form(q, m))},"
-                f"{table.lengths[q]}"
-            )
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        qi, m = divmod(row, table.m_files)
+        coeffs = " ".join(f"z{i + 1}:{Fraction(v, n)}" for i, v in
+                          zip(c.indices[lo:hi].tolist(), c.data[lo:hi].tolist()))
+        lines.append(f"{table.server},{serialize_query(table.queries[qi])},{m + 1},"
+                     f"{coeffs},{lengths[qi]}")
     return "\n".join(lines) + "\n"

@@ -9,12 +9,13 @@ The full LP is its discrete case.  Each point is solved on the coarsest
 equitable partition: one weight per class of strategies the LP cannot
 tell apart, one epigraph variable per class of queries, and one row per
 class of rows; that LP has the full LP's optimum, and its answer lifts to
-a z constant on each class.  One Frontier per table and cost form holds
-that LP and the second pass's LP, which pushes the download cost down to
-the lower envelope at the optimal leakage; both are built once, and each
-cost target of a sweep only sets their caps.  The exact re-check sums one
-representative query per query class, weighted by the class size.  A
-brute-force simplex-grid search validates the LP from below.
+a z constant on each class.  A sweep builds one Frontier per table and
+cost form.  It holds that LP and, stacked from it on first read, the
+second pass's LP, which pushes the download cost down to the lower
+envelope at the optimal leakage; each cost target only sets their caps.
+The exact re-check sums one representative query per query class,
+weighted by the class size.  A brute-force simplex-grid search validates
+the LP from below.
 """
 from __future__ import annotations
 
@@ -143,33 +144,39 @@ def solve_lp(p: LpProblem) -> LpSolution:
 @dataclass(frozen=True, eq=False)
 class Frontier:
     """The trade-off LP of one table and cost form on the classes of a
-    partition, both stages built once: each cost target sets only caps.
+    partition, built once per sweep: each cost target sets only caps.
 
     x = P w: every strategy of class C has probability w[C], and every
     query of a class shares one epigraph variable.  `stage1` minimizes
     the leakage; the last entry of its b_ub, the cost cap, is left at 0.
-    `stage2` minimizes the download cost, stage1's last a_ub row, under
-    stage1's rows and then its objective as a leakage cap; its last two
-    caps are left at 0.  `strategy_class[s]` is s's class, `sizes[C]` its
-    number of members, and `cost[C]` the cost form's numerators summed
-    over C, over the form's denominator.  `by_class` holds, for each query
+    `stage2`, built from stage1 on first read, minimizes the download
+    cost, stage1's last a_ub row, under stage1's rows and then its
+    objective as a leakage cap; its last two caps are left at 0.
+    `strategy_class[s]` is s's class, `sizes[C]` its number of members,
+    and `cost[C]` the cost form's numerators summed over C, over the
+    form's denominator.  `by_class` holds, for each query
     class, the M count rows of its first query summed over each strategy
     class and times the query class's size: every query of a class meets
     the same number of rows of each row class, so it has the same largest
     P(q|m), and the per-query maxima sum as over all rows.  Of the table
-    it keeps only M and N, which the exact re-check reads, so the table's
-    `reductions` memo holding this Frontier makes no reference cycle.
+    it keeps only M and N, which the exact re-check reads.
     """
 
     m_files: int
     n_servers: int
     cost_form: LinearForm
     stage1: LpProblem
-    stage2: LpProblem
     strategy_class: np.ndarray
     sizes: list[int]
     cost: np.ndarray  # int64
     by_class: sparse.csr_matrix
+
+    @cached_property
+    def stage2(self) -> LpProblem:
+        s1 = self.stage1
+        return LpProblem(n_z=s1.n_z, c=s1.a_ub[-1].toarray().ravel(),
+                         a_ub=sparse.vstack([s1.a_ub, sparse.csr_matrix(s1.c)], format="csr"),
+                         b_ub=np.full(s1.a_ub.shape[0] + 1, -0.0), a_eq=s1.a_eq, b_eq=s1.b_eq)
 
     def problem(self, d_target) -> LpProblem:
         """stage1 with the cost cap at d_target, on a b_ub of its own."""
@@ -183,43 +190,6 @@ class Frontier:
         cost = sum(c * v for c, v in zip(self.cost.tolist(), numerators))
         d = self.cost_form.constant + Fraction(cost, self.cost_form.denominator * common)
         return leakage_at(self, self.by_class, numerators, common), d
-
-    def point(self, d_target, lam: int, dim: int) -> TradeoffPoint | None:
-        """Optimal leakage at one cost target, then the cheapest cost
-        achieving it, made exact.  Returns None when the target is
-        infeasible.
-
-        Normalizing, snapping and the exact re-check run on one
-        probability per strategy class, which gives z exactly as on the
-        lifted vector.
-        """
-        p = self.problem(d_target)
-        sol = solve_lp(p)
-        if not sol.is_optimal:
-            return None
-        b_ub = self.stage2.b_ub.copy()
-        b_ub[-2:] = p.b_ub[-1], sol.objective + LEAKAGE_CAP_SLACK
-        capped = solve_lp(replace(self.stage2, b_ub=b_ub))
-        w = _class_pmf((capped if capped.is_optimal else sol).x, self.sizes)
-        val, d_achieved = self._exact(w)
-        snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
-        total = sum((n * v for n, v in zip(self.sizes, snapped)), Fraction(0))
-        if total > 0:
-            snapped = [v / total for v in snapped]
-            if snapped != w:
-                val_snapped, d_snapped = self._exact(snapped)
-                if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
-                    w, val, d_achieved = snapped, val_snapped, d_snapped
-        return TradeoffPoint(
-            d_target=Fraction(d_target),
-            d_achieved=d_achieved,
-            leakage_sum=val.raw_sum,
-            leakage_bits=val.bits,
-            leakage_normalized=val.normalized,
-            rate=Fraction(lam * dim) / d_achieved,
-            weights=tuple(w),
-            strategy_class=self.strategy_class,
-        )
 
 
 def _partition(table: ConditionalQueryTable, cost_form: LinearForm):
@@ -264,30 +234,21 @@ def _assemble(table: ConditionalQueryTable, rows, cols, cost_form: LinearForm) -
     weights = sizes.astype(float)
     c = np.concatenate([np.zeros(n_w), weights[n_w:]])
     a_eq = sparse.csr_matrix(np.concatenate([weights[:n_w], np.zeros(sizes.size - n_w)]))
-    b_eq = np.array([1.0])
     stage1 = LpProblem(n_z=n_w, c=c, a_ub=a_ub, b_ub=np.full(a_ub.shape[0], -0.0),
-                       a_eq=a_eq, b_eq=b_eq)
-    stage2 = LpProblem(n_z=n_w, c=a_ub[-1].toarray().ravel(),
-                       a_ub=sparse.vstack([a_ub, sparse.csr_matrix(c)], format="csr"),
-                       b_ub=np.full(a_ub.shape[0] + 1, -0.0), a_eq=a_eq, b_eq=b_eq)
+                       a_eq=a_eq, b_eq=np.array([1.0]))
     queries = np.unique(cols[n_z:], return_index=True)[1]
     by_class = summed[(queries[:, None] * m + np.arange(m)).ravel(), :n_w]
     by_class.data *= np.repeat(np.repeat(sizes[n_w:], m), np.diff(by_class.indptr))
     return Frontier(m_files=m, n_servers=table.n_servers, cost_form=cost_form,
-                    stage1=stage1, stage2=stage2,
-                    strategy_class=strategy_class, sizes=sizes[:n_w].tolist(), cost=cost,
-                    by_class=by_class)
+                    stage1=stage1, strategy_class=strategy_class,
+                    sizes=sizes[:n_w].tolist(), cost=cost, by_class=by_class)
 
 
 def frontier(tables, cost_form: LinearForm) -> Frontier:
     """The Frontier of the shared table and the cost form on their
-    coarsest equitable partition (_partition), built once per table and
-    cost form and kept in the table's `reductions`."""
+    coarsest equitable partition (_partition): build it once per sweep."""
     table = shared_table(tables)
-    memo = table.reductions
-    if cost_form not in memo:
-        memo[cost_form] = _assemble(table, *_partition(table, cost_form), cost_form)
-    return memo[cost_form]
+    return _assemble(table, *_partition(table, cost_form), cost_form)
 
 
 @dataclass(frozen=True)
@@ -325,7 +286,8 @@ class TradeoffPoint:
 
 def _class_pmf(weights, sizes) -> list[Fraction]:
     """One exact probability per class such that the classes' members sum
-    to 1; normalize_pmf on the lifted vector, class by class."""
+    to 1: negatives clamped to 0, then every weight divided by the lifted
+    total, each class's weight times its size summed."""
     w = [max(Fraction(v), Fraction(0)) for v in weights]
     total = sum((n * v for n, v in zip(sizes, w)), Fraction(0))
     if total <= 0:
@@ -333,10 +295,41 @@ def _class_pmf(weights, sizes) -> list[Fraction]:
     return [v / total for v in w]
 
 
-def solve_tradeoff_point(tables, cost_form: LinearForm, d_target, lam: int, dim: int):
-    """Frontier.point at d_target on the table's Frontier for the cost
-    form (frontier); None when the target is infeasible."""
-    return frontier(tables, cost_form).point(d_target, lam, dim)
+def solve_tradeoff_point(fr: Frontier, d_target, lam: int, dim: int) -> TradeoffPoint | None:
+    """Optimal leakage at one cost target on the Frontier, then the
+    cheapest cost achieving it, made exact.  Returns None when the target
+    is infeasible.
+
+    Normalizing, snapping and the exact re-check run on one probability
+    per strategy class, which gives z exactly as on the lifted vector.
+    """
+    p = fr.problem(d_target)
+    sol = solve_lp(p)
+    if not sol.is_optimal:
+        return None
+    b_ub = fr.stage2.b_ub.copy()
+    b_ub[-2:] = p.b_ub[-1], sol.objective + LEAKAGE_CAP_SLACK
+    capped = solve_lp(replace(fr.stage2, b_ub=b_ub))
+    w = _class_pmf((capped if capped.is_optimal else sol).x, fr.sizes)
+    val, d_achieved = fr._exact(w)
+    snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
+    total = sum((n * v for n, v in zip(fr.sizes, snapped)), Fraction(0))
+    if total > 0:
+        snapped = [v / total for v in snapped]
+        if snapped != w:
+            val_snapped, d_snapped = fr._exact(snapped)
+            if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
+                w, val, d_achieved = snapped, val_snapped, d_snapped
+    return TradeoffPoint(
+        d_target=Fraction(d_target),
+        d_achieved=d_achieved,
+        leakage_sum=val.raw_sum,
+        leakage_bits=val.bits,
+        leakage_normalized=val.normalized,
+        rate=Fraction(lam * dim) / d_achieved,
+        weights=tuple(w),
+        strategy_class=fr.strategy_class,
+    )
 
 
 def default_grid(cost_form: LinearForm, size: int, grid_size: int = 60):

@@ -1,11 +1,13 @@
-"""Integer `LinearForm`s built from exact `Fraction` coefficients, and
-forms compared by value, shared by the tests."""
+"""Integer `LinearForm`s built from exact `Fraction` coefficients, forms
+compared by value, a table's per-query views and the exact PMF rule,
+shared by the tests."""
 import math
 from fractions import Fraction as F
 
 import numpy as np
 
 from wpir.leakage import LinearForm
+from wpir.schemes import QueryMatrix
 
 
 def linear_form(coeffs, constant=F(0)) -> LinearForm:
@@ -16,6 +18,29 @@ def linear_form(coeffs, constant=F(0)) -> LinearForm:
     return LinearForm(np.array([i for i, _ in items], dtype=np.int64),
                       np.array([int(c * den) for _, c in items], dtype=np.int64),
                       den, F(constant))
+
+
+def views(table):
+    """A table's per-query views, built from its keys, count rows and
+    answer lengths: query -> P(q|m) per file, each a count row over N as
+    a LinearForm, and query -> answer length."""
+    c, m = table.counts, table.m_files
+    indices, bounds = c.indices.astype(np.int64), c.indptr.tolist()
+    rows = [LinearForm(indices[lo:hi], c.data[lo:hi], table.n_servers)
+            for lo, hi in zip(bounds, bounds[1:])]
+    queries = [QueryMatrix.from_bytes(key.tobytes(), m) for key in table.keys]
+    forms = {q: tuple(rows[qi * m:(qi + 1) * m]) for qi, q in enumerate(queries)}
+    return forms, dict(zip(queries, table.answer_lengths.tolist()))
+
+
+def normalize_pmf(values) -> tuple[F, ...]:
+    """Clamp tiny negatives and rescale to an exact PMF: the reference for
+    the optimizer's per-class rule."""
+    z = [max(F(v), F(0)) for v in values]
+    total = sum(z)
+    if total <= 0:
+        raise ValueError("cannot normalize an all-zero vector")
+    return tuple(v / total for v in z)
 
 
 def exact(forms):

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 
+from forms import views
 from wpir.fields import PrimeField, smallest_prime_at_least
 from wpir.leakage import (
     build_all_tables,
@@ -20,6 +21,7 @@ from wpir.mds import make_rs_code
 from wpir.optimizer import (
     brute_force_min_leakage,
     default_grid,
+    frontier,
     reformulate,
     solve_lp,
     solve_tradeoff_point,
@@ -95,23 +97,24 @@ def test_criterion_01_strategy_cardinalities():
                   f"|zyqt(5,3,M=3)|={big_zyqt.size}, |olr(5,3,M=3)|={big_olr.size}")
 
 
-def _marginal_coeffs(table, q):
+def _marginal_coeffs(forms, q):
     merged = {}
-    for m in range(1, table.m_files + 1):
-        for idx, c in table.prob_form(q, m).coeffs.items():
-            merged[idx] = merged.get(idx, F(0)) + c / table.m_files
+    for form in forms[q]:
+        for idx, c in form.coeffs.items():
+            merged[idx] = merged.get(idx, F(0)) + c / len(forms[q])
     return merged
 
 
 def _table_matches(table, frozen) -> bool:
     if len(table.queries) != len(frozen):
         return False
+    forms, lengths = views(table)
     for rows, labels, ell in frozen:
         q = QueryMatrix(tuple(tuple(r) for r in rows))
-        if q not in table.forms or table.length(q) != ell:
+        if q not in forms or lengths[q] != ell:
             return False
         for m, z in enumerate(labels, start=1):
-            form = table.prob_form(q, m)
+            form = forms[q][m - 1]
             if form.constant != 0 or form.coeffs != {z - 1: THIRD}:
                 return False
         expect = (
@@ -119,7 +122,7 @@ def _table_matches(table, frozen) -> bool:
             if labels[0] == labels[1]
             else {labels[0] - 1: F(1, 6), labels[1] - 1: F(1, 6)}
         )
-        if _marginal_coeffs(table, q) != expect:
+        if _marginal_coeffs(forms, q) != expect:
             return False
     return True
 
@@ -130,7 +133,7 @@ def test_criterion_02_table_reproduction():
     ok_z = _table_matches(tz[0], ZTSL_232_TABLE)
     shown = {QueryMatrix(tuple(tuple(r) for r in rows)) for rows, _, _ in OLR_232_SUBSET}
     ok_o = (
-        all(q in to[0].forms for q in shown)
+        all(q in views(to[0])[0] for q in shown)
         and _table_matches_subset(to[0], OLR_232_SUBSET)
         and [e for _, _, e in OLR_232_SUBSET] == [1, 1, 1, 0, 1, 0, 2, 1, 2]
     )
@@ -140,12 +143,13 @@ def test_criterion_02_table_reproduction():
 
 
 def _table_matches_subset(table, frozen) -> bool:
+    forms, lengths = views(table)
     for rows, labels, ell in frozen:
         q = QueryMatrix(tuple(tuple(r) for r in rows))
-        if q not in table.forms or table.length(q) != ell:
+        if q not in forms or lengths[q] != ell:
             return False
         for m, z in enumerate(labels, start=1):
-            form = table.prob_form(q, m)
+            form = forms[q][m - 1]
             if form.constant != 0 or form.coeffs != {z - 1: THIRD}:
                 return False
     return True
@@ -194,8 +198,9 @@ def test_criterion_05_tradeoff_endpoints():
         inst, tables, cost = bundle(kind, 2, 3, 2)
         d_uniform = cost.evaluate(uniform_pmf(inst.alphabet.size))
         d_min = cost.min_on_simplex(inst.alphabet.size)
-        lo = solve_tradeoff_point(tables, cost, d_uniform, inst.params.lam, inst.dim)
-        hi = solve_tradeoff_point(tables, cost, d_min, inst.params.lam, inst.dim)
+        fr = frontier(tables, cost)
+        lo = solve_tradeoff_point(fr, d_uniform, inst.params.lam, inst.dim)
+        hi = solve_tradeoff_point(fr, d_min, inst.params.lam, inst.dim)
         rates_low[kind] = float(lo.rate)
         rates_high[kind] = float(hi.rate)
         ok = ok and abs(lo.leakage_bits) <= 1e-9 and abs(float(lo.rate) - 0.6) <= tol
@@ -243,8 +248,9 @@ def test_criterion_07_per_server_leakage_equal():
     checked = 0
     for kind in SchemeKind:
         inst, tables, cost = bundle(kind, 2, 3, 2)
+        fr = frontier(tables, cost)
         for d in default_grid(cost, inst.alphabet.size, 7):
-            pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+            pt = solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
             if pt is None:
                 continue
             sums = {maxl(tb, pt.z).raw_sum for tb in tables}
@@ -266,8 +272,9 @@ def test_criterion_08_lp_vs_grid_oracle():
     ztsl_midpoint_gap = None
     for kind, ds in targets.items():
         inst, tables, cost = bundle(kind, 2, 3, 2)
+        fr = frontier(tables, cost)
         for d in ds:
-            pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+            pt = solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
             grid_bits, _ = brute_force_min_leakage(tables[0], cost, d, step=step)
             gap = grid_bits - pt.leakage_bits
             gaps.append(gap)
@@ -288,9 +295,10 @@ def test_criterion_09_value_function_shape():
     ok = True
     for kind in SchemeKind:
         inst, tables, cost = bundle(kind, 2, 3, 2)
+        fr = frontier(tables, cost)
         pts = []
         for d in default_grid(cost, inst.alphabet.size, 9):
-            pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+            pt = solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
             if pt is not None:
                 pts.append((float(pt.d_target), float(pt.leakage_sum), pt.leakage_bits))
         ok = ok and len(pts) >= 3
@@ -313,10 +321,9 @@ def test_criterion_10_simulation_consistency():
     worst_dev = 0.0
     prior = F(1, inst.m_files)
     for j in range(1, inst.n_servers + 1):
-        table = tables[j - 1]
-        for q in table.queries:
-            p = float(sum((table.prob_form(q, m).evaluate(z) * prior
-                           for m in range(1, inst.m_files + 1)), F(0)))
+        forms, _ = views(tables[j - 1])
+        for q, per_m in forms.items():
+            p = float(sum((form.evaluate(z) * prior for form in per_m), F(0)))
             se = math.sqrt(p * (1 - p) / count)
             emp = stats.query_counts[j].get(q, 0) / count
             if se > 0:

@@ -100,9 +100,10 @@ def test_tradeoff_endpoints():
 def test_tradeoff_calls_solve_tradeoff_point_once_per_target(monkeypatch):
     """`wpir tradeoff` reaches each point through wpir.cli's
     solve_tradeoff_point, the name the benchmark traces, and partitions
-    the table once per sweep."""
+    the table and assembles its LP once per sweep."""
     calls = []
-    for module, name in ((cli, "solve_tradeoff_point"), (optimizer, "_partition")):
+    for module, name in ((cli, "solve_tradeoff_point"), (optimizer, "_partition"),
+                         (optimizer, "_assemble")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
@@ -111,6 +112,7 @@ def test_tradeoff_calls_solve_tradeoff_point_once_per_target(monkeypatch):
     assert code == 0
     assert calls.count("solve_tradeoff_point") == 5
     assert calls.count("_partition") == 1
+    assert calls.count("_assemble") == 1
 
 
 # SHA-256 of the whole `wpir tradeoff` stdout, header comments included

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from forms import exact, linear_form
+from forms import exact, linear_form, normalize_pmf, views
 from wpir.leakage import (
     ResourceLimitError,
     as_pmf,
@@ -13,7 +13,6 @@ from wpir.leakage import (
     build_query_table,
     download_cost_form,
     maxl,
-    normalize_pmf,
     serialize_query,
     table_to_csv,
     uniform_pmf,
@@ -55,14 +54,15 @@ def qm(rows):
 def check_frozen(table, frozen, expect_count=None):
     if expect_count is not None:
         assert len(table.queries) == expect_count
+    forms, lengths = views(table)
     for rows, zlabels, ell in frozen:
         q = qm(rows)
-        assert q in table.forms, f"query {rows} missing"
+        assert q in forms, f"query {rows} missing"
         for m, z in enumerate(zlabels, start=1):
-            form = table.prob_form(q, m)
+            form = forms[q][m - 1]
             assert form.constant == 0
             assert form.coeffs == {z - 1: THIRD}
-        assert table.length(q) == ell
+        assert lengths[q] == ell
 
 
 def test_ztsl_232_table_matches_frozen_values():
@@ -73,13 +73,13 @@ def test_ztsl_232_table_matches_frozen_values():
 
 def test_ztsl_232_marginals():
     inst = make_scheme(SchemeKind.ZTSL, 2, 3, 2)
-    table = build_query_table(inst, 1)
+    forms, _ = views(build_query_table(inst, 1))
     # marginal of the first three queries is z_i/3; of the rest (z_a+z_b)/6
     for rows, zlabels, _ in ZTSL_232_TABLE:
         q = qm(rows)
         marg = {}
         for m in (1, 2):
-            for i, c in table.prob_form(q, m).coeffs.items():
+            for i, c in forms[q][m - 1].coeffs.items():
                 marg[i] = marg.get(i, F(0)) + c / 2
         expect = {}
         for z in zlabels:
@@ -97,10 +97,12 @@ def test_tables_identical_across_servers():
     for kind in SchemeKind:
         inst = make_scheme(kind, 2, 3, 2)
         tables = build_all_tables(inst)
+        forms, lengths = views(tables[0])
         for tb in tables[1:]:
             assert tb.queries == tables[0].queries
-            assert exact(tb.forms) == exact(tables[0].forms)
-            assert tb.lengths == tables[0].lengths
+            tb_forms, tb_lengths = views(tb)
+            assert exact(tb_forms) == exact(forms)
+            assert tb_lengths == lengths
 
 
 @pytest.mark.parametrize(
@@ -110,11 +112,11 @@ def test_tables_identical_across_servers():
 def test_per_m_normalization(kind, m_files, n_servers, dim):
     """Coefficient columns sum to 1: P(.|m) is a PMF for every z."""
     inst = make_scheme(kind, m_files, n_servers, dim)
-    table = build_query_table(inst, 1)
+    forms, _ = views(build_query_table(inst, 1))
     for m in range(1, m_files + 1):
         col = {}
-        for q in table.queries:
-            for i, c in table.prob_form(q, m).coeffs.items():
+        for per_m in forms.values():
+            for i, c in per_m[m - 1].coeffs.items():
                 col[i] = col.get(i, F(0)) + c
         assert col == {i: F(1) for i in range(inst.alphabet.size)}
 

@@ -1,10 +1,8 @@
 """Tests for the trade-off LP, the sweep, and the brute-force oracle."""
 import copy
 import functools
-import gc
 import hashlib
 import math
-import weakref
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -13,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from forms import OFF_CLASS as _OFF_CLASS, linear_form
+from forms import OFF_CLASS as _OFF_CLASS, linear_form, normalize_pmf
 from wpir import leakage, optimizer
 from wpir.leakage import (
     ResourceLimitError,
@@ -25,7 +23,6 @@ from wpir.leakage import (
     epigraph_matrix,
     leakage_at,
     maxl,
-    normalize_pmf,
     uniform_pmf,
 )
 from wpir.optimizer import (
@@ -76,7 +73,7 @@ def test_ztsl_loose_cap_reaches_zero_leakage():
 def test_ztsl_tight_cap_forces_z1_zero():
     """D(z) = 3 + z1, so a cap of 3 pins z1 to 0."""
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
-    pt = solve_tradeoff_point(tables, cost, 3, inst.params.lam, inst.dim)
+    pt = solve_tradeoff_point(frontier(tables, cost), 3, inst.params.lam, inst.dim)
     assert pt.z[0] == 0
     assert pt.d_achieved == 3
     assert pt.leakage_sum == F(4, 3)
@@ -85,7 +82,7 @@ def test_ztsl_tight_cap_forces_z1_zero():
 def test_olr_min_cost_point():
     """At D <= 2 only z4, z6 may carry mass; leakage sum is 5/3."""
     inst, tables, cost = setup_scheme(SchemeKind.OLR)
-    pt = solve_tradeoff_point(tables, cost, 2, inst.params.lam, inst.dim)
+    pt = solve_tradeoff_point(frontier(tables, cost), 2, inst.params.lam, inst.dim)
     assert pt.rate == 1
     assert sum(pt.z[i] for i in (0, 1, 2, 4)) == 0
     assert pt.leakage_sum == F(5, 3)
@@ -106,7 +103,7 @@ def test_two_stage_lowers_cost_to_envelope():
     """ZTSL at D<=3.5: leakage 0 is reachable, and stage 2 pulls the
     achieved cost back to the cheapest zero-leakage point 10/3."""
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
-    pt = solve_tradeoff_point(tables, cost, F(7, 2), inst.params.lam, inst.dim)
+    pt = solve_tradeoff_point(frontier(tables, cost), F(7, 2), inst.params.lam, inst.dim)
     assert pt.leakage_bits == pytest.approx(0.0, abs=1e-6)
     assert float(pt.d_achieved) == pytest.approx(10 / 3, abs=1e-6)
     assert float(pt.rate) == pytest.approx(0.6, abs=1e-9)
@@ -114,13 +111,13 @@ def test_two_stage_lowers_cost_to_envelope():
 
 def test_infeasible_below_min_cost():
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
-    assert solve_tradeoff_point(tables, cost, F(29, 10), 1, 2) is None
+    assert solve_tradeoff_point(frontier(tables, cost), F(29, 10), 1, 2) is None
 
 
 def test_single_file_leakage_always_zero():
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL, m_files=1)
     hi = cost.max_on_simplex(inst.alphabet.size)
-    pt = solve_tradeoff_point(tables, cost, hi, inst.params.lam, inst.dim)
+    pt = solve_tradeoff_point(frontier(tables, cost), hi, inst.params.lam, inst.dim)
     assert pt.leakage_sum == 1 and pt.leakage_bits == 0.0
 
 
@@ -142,8 +139,8 @@ def _sweep(kind, grid_size):
     """One point per target of the default grid, in target order."""
     inst, tables, cost = setup_scheme(kind)
     grid = default_grid(cost, inst.alphabet.size, grid_size)
-    return [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-            for d in grid]
+    fr = frontier(tables, cost)
+    return [solve_tradeoff_point(fr, d, inst.params.lam, inst.dim) for d in grid]
 
 
 def test_sweep_leakage_monotone_in_target():
@@ -173,14 +170,15 @@ _REDUCED = [(SchemeKind.OLR, 2, 3, 2), (SchemeKind.ZTSL, 2, 3, 2),
 def test_reduced_lp_optimum_equals_full_lp(instance):
     inst, tables, cost = setup_scheme(*instance)
     size = inst.alphabet.size
+    fr = frontier(tables, cost)
     for d in default_grid(cost, size, 9):
         full = solve_lp(reformulate(tables, cost, d))
-        reduced = solve_lp(frontier(tables, cost).problem(d))
+        reduced = solve_lp(fr.problem(d))
         assert full.is_optimal and reduced.is_optimal
         assert reduced.objective == pytest.approx(full.objective, abs=1e-9)
     d = cost.min_on_simplex(size) - 1
     assert not solve_lp(reformulate(tables, cost, d)).is_optimal
-    assert not solve_lp(frontier(tables, cost).problem(d)).is_optimal
+    assert not solve_lp(fr.problem(d)).is_optimal
 
 
 # targets of the cost form on zyqt (3,3,2) that splits strategy classes
@@ -218,16 +216,17 @@ def test_cost_form_off_the_classes_refines_them():
     assert _constant_on(download, strategy_class)
     cost = _OFF_CLASS
     assert not _constant_on(cost, strategy_class)
-    assert _constant_on(cost, frontier(tables, cost).strategy_class)
+    fr = frontier(tables, cost)
+    assert _constant_on(cost, fr.strategy_class)
     for d in _OFF_CLASS_TARGETS:
         full = reformulate(tables, cost, d)
-        reduced = frontier(tables, cost).problem(d)
+        reduced = fr.problem(d)
         for _ in range(2):
             a, b = solve_lp(full), solve_lp(reduced)
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
             full = _reference_with_leakage_cap(full, a.objective + LEAKAGE_CAP_SLACK)
             reduced = _reference_with_leakage_cap(reduced, b.objective + LEAKAGE_CAP_SLACK)
-        pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+        pt = solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
         assert cost.evaluate(pt.z) == pt.d_achieved <= d
         assert maxl(tables[0], pt.z).raw_sum == pt.leakage_sum
 
@@ -299,13 +298,15 @@ def test_partition_computed_once_per_sweep(monkeypatch):
     monkeypatch.setattr("wpir.optimizer.equitable_partition",
                         lambda *args: calls.append(args) or real(*args))
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    fr = frontier(tables, cost)
     for d in default_grid(cost, inst.alphabet.size, 9):
-        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+        solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
     assert len(calls) == 1
     download = default_grid(cost, inst.alphabet.size, len(_OFF_CLASS_TARGETS))
+    off = frontier(tables, _OFF_CLASS)
     for d, e in zip(download, _OFF_CLASS_TARGETS):
-        for form, target in ((cost, d), (_OFF_CLASS, e)):
-            solve_tradeoff_point(tables, form, target, inst.params.lam, inst.dim)
+        for each, target in ((fr, d), (off, e)):
+            solve_tradeoff_point(each, target, inst.params.lam, inst.dim)
     assert len(calls) == 2
 
 
@@ -323,8 +324,8 @@ def test_explicit_zero_coefficient_seeds_as_absent():
     for d in _OFF_CLASS_TARGETS:
         pa, pb = a.problem(d), b.problem(d)
         assert _lp_bytes(pa) + [pa.b_ub.tobytes()] == _lp_bytes(pb) + [pb.b_ub.tobytes()]
-        assert solve_tradeoff_point(tables, _OFF_CLASS, d, inst.params.lam, inst.dim) \
-            == solve_tradeoff_point(tables, zeroed, d, inst.params.lam, inst.dim)
+        assert solve_tradeoff_point(a, d, inst.params.lam, inst.dim) \
+            == solve_tradeoff_point(b, d, inst.params.lam, inst.dim)
 
 
 def test_reduction_built_once_per_sweep(monkeypatch):
@@ -334,8 +335,9 @@ def test_reduction_built_once_per_sweep(monkeypatch):
         monkeypatch.setattr(f"wpir.optimizer.{name}",
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    fr = frontier(tables, cost)
     for d in default_grid(cost, inst.alphabet.size, 9):
-        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
+        solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
     assert calls == ["_partition", "_assemble"]
 
 
@@ -360,8 +362,7 @@ def test_targets_differ_only_in_the_cap():
     assert a.b_ub[:-1].tobytes() == b.b_ub[:-1].tobytes()
     assert (a.b_ub[-1], b.b_ub[-1]) == tuple(float(d - cost.constant) for d in (grid[2], grid[6]))
     for d in grid:
-        solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-    assert frontier(tables, cost) is fr
+        solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
     assert _lp_bytes(fr.problem(grid[2])) == before
     assert fr.problem(grid[2]).b_ub.tobytes() == a.b_ub.tobytes()
     assert [_lp_bytes(s) + [s.b_ub.tobytes()] for s in (fr.stage1, fr.stage2)] == prebuilt
@@ -381,14 +382,14 @@ def test_stage2_lp_equals_reference_at_every_target(instance, form, monkeypatch)
     inst, tables, cost = setup_scheme(*instance)
     cost = form or cost
     targets = _OFF_CLASS_TARGETS if form else default_grid(cost, inst.alphabet.size, 9)
+    fr = frontier(tables, cost)
     solved, stacks = [], []
     real_solve, real_vstack = optimizer.solve_lp, sparse.vstack
     monkeypatch.setattr(optimizer, "solve_lp",
                         lambda p: solved.append((p, real_solve(p))) or solved[-1][1])
     monkeypatch.setattr(sparse, "vstack",
                         lambda *args, **kw: stacks.append(args) or real_vstack(*args, **kw))
-    points = [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-              for d in targets]
+    points = [solve_tradeoff_point(fr, d, inst.params.lam, inst.dim) for d in targets]
     monkeypatch.undo()
     assert None not in points and len(stacks) == 1
     assert len(solved) == 2 * len(targets)
@@ -402,8 +403,8 @@ def test_stage2_lp_equals_reference_at_every_target(instance, form, monkeypatch)
 def test_reverse_sweep_equals_fresh_forward_sweep():
     inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
     grid = default_grid(cost, inst.alphabet.size, 9)
-    backward = [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-                for d in reversed(grid)]
+    fr = frontier(tables, cost)
+    backward = [solve_tradeoff_point(fr, d, inst.params.lam, inst.dim) for d in reversed(grid)]
     assert backward[::-1] == _sweep_on((SchemeKind.ZYQT, 3, 3, 2), grid)
 
 
@@ -411,42 +412,22 @@ def _sweep_on(instance, grid, form=None):
     """One point per target on freshly built tables, with the download
     cost form unless another is given."""
     inst, tables, cost = setup_scheme(*instance)
-    return [solve_tradeoff_point(tables, form or cost, d, inst.params.lam, inst.dim)
-            for d in grid]
+    fr = frontier(tables, form or cost)
+    return [solve_tradeoff_point(fr, d, inst.params.lam, inst.dim) for d in grid]
 
 
 def test_alternating_cost_forms_match_fresh_tables():
-    """One table serves two cost forms, each keyed by its own reduction."""
+    """One table serves two cost forms, each through its own Frontier."""
     instance = (SchemeKind.ZYQT, 3, 3, 2)
     inst, tables, cost = setup_scheme(*instance)
     download = default_grid(cost, inst.alphabet.size, len(_OFF_CLASS_TARGETS))
-    got = {id(cost): [], id(_OFF_CLASS): []}
-    for d, e in zip(download, _OFF_CLASS_TARGETS):
-        for form, target in ((cost, d), (_OFF_CLASS, e)):
-            got[id(form)].append(
-                solve_tradeoff_point(tables, form, target, inst.params.lam, inst.dim))
-    assert got[id(cost)] == _sweep_on(instance, download)
-    assert got[id(_OFF_CLASS)] == _sweep_on(instance, _OFF_CLASS_TARGETS, _OFF_CLASS)
-    assert len(tables[0].reductions) == 2
-
-
-def test_sweep_leaves_no_reference_cycle_to_its_table():
-    """The Frontier memo on a table does not point back at the table: with
-    the cyclic collector off, the table is freed when its last reference
-    goes."""
-    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for d in default_grid(cost, inst.alphabet.size, 3):
-            solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-        assert len(tables[0].reductions) == 1
-        ref = weakref.ref(tables[0])
-        del tables
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
+    frontiers = frontier(tables, cost), frontier(tables, _OFF_CLASS)
+    got = ([], [])
+    for targets in zip(download, _OFF_CLASS_TARGETS):
+        for points, fr, target in zip(got, frontiers, targets):
+            points.append(solve_tradeoff_point(fr, target, inst.params.lam, inst.dim))
+    assert got[0] == _sweep_on(instance, download)
+    assert got[1] == _sweep_on(instance, _OFF_CLASS_TARGETS, _OFF_CLASS)
 
 
 @pytest.mark.parametrize("instance, form", [(i, None) for i in _REDUCED]
@@ -502,7 +483,7 @@ def test_class_recheck_matches_per_strategy(instance):
         x = w[red.strategy_class]
         lifted = optimizer._class_pmf(w, red.sizes)
         assert tuple(lifted[c] for c in red.strategy_class) == normalize_pmf(x)
-        pt = solve_tradeoff_point(tables, cost, d, lam, dim)
+        pt = solve_tradeoff_point(red, d, lam, dim)
         assert (pt.d_target, pt.d_achieved, pt.leakage_sum, pt.leakage_bits,
                 pt.leakage_normalized, pt.rate, pt.z) == _per_strategy_point(
                     tables[0], cost, d, x, lam, dim)
@@ -531,8 +512,8 @@ def _frontier_points():
         size = inst.alphabet.size
         # the last target lies below every achievable cost
         targets = default_grid(cost, size, grid) + [cost.min_on_simplex(size) - 1]
-        points += [solve_tradeoff_point(tables, cost, d, inst.params.lam, inst.dim)
-                   for d in targets]
+        fr = frontier(tables, cost)
+        points += [solve_tradeoff_point(fr, d, inst.params.lam, inst.dim) for d in targets]
     return points
 
 
@@ -649,8 +630,9 @@ def test_composition_chunks_order_and_boundaries(monkeypatch, chunk, total, size
 
 def test_brute_force_matches_lp_ztsl():
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
+    fr = frontier(tables, cost)
     for d in (3, F(13, 4), F(7, 2), F(15, 4), 4):
-        pt = solve_tradeoff_point(tables, cost, d, 1, 2)
+        pt = solve_tradeoff_point(fr, d, 1, 2)
         bits, z = brute_force_min_leakage(tables[0], cost, d, step=F(1, 50))
         assert bits >= pt.leakage_bits - 1e-9
         assert bits <= pt.leakage_bits + 0.05
@@ -729,9 +711,10 @@ def test_zero_leakage_starts_at_mds_pir_capacity(instance):
     ratio = F(dim, n_servers)
     capacity = (1 - ratio) / (1 - ratio ** m_files)
     d = inst.params.lam * dim / capacity
-    pt = solve_tradeoff_point(tables, cost, d, inst.params.lam, dim)
+    fr = frontier(tables, cost)
+    pt = solve_tradeoff_point(fr, d, inst.params.lam, dim)
     assert (pt.leakage_sum, pt.rate) == (1, capacity)
-    below = solve_tradeoff_point(tables, cost, d - F(1, 100), inst.params.lam, dim)
+    below = solve_tradeoff_point(fr, d - F(1, 100), inst.params.lam, dim)
     assert below.leakage_sum > 1
 
 
@@ -741,7 +724,7 @@ def test_olr_and_zyqt_frontiers_equal_exactly_at_two_files(n_servers, dim):
     for kind in (SchemeKind.OLR, SchemeKind.ZYQT):
         inst, tables, cost = setup_scheme(kind, 2, n_servers, dim)
         grid = default_grid(cost, inst.alphabet.size, 9)
-        sums = [solve_tradeoff_point(tables, cost, d, inst.params.lam, dim).leakage_sum
-                for d in grid]
+        fr = frontier(tables, cost)
+        sums = [solve_tradeoff_point(fr, d, inst.params.lam, dim).leakage_sum for d in grid]
         sweeps.append((grid, sums))
     assert sweeps[0] == sweeps[1]

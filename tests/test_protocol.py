@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from forms import views
 from wpir.fields import PrimeField, smallest_prime_at_least
 from wpir.leakage import ResourceLimitError, build_query_table, uniform_pmf
 from wpir.mds import make_rs_code
@@ -147,15 +148,13 @@ def test_gcd_case_retrieves():
 def test_downloads_match_table_lengths():
     """Transcript download counts agree with the tabulated lengths."""
     inst, storage = build(SchemeKind.ZTSL, seed=37)
-    table = build_query_table(inst, 1)
+    _, lengths = views(build_query_table(inst, 1))
     for si in range(3):
         for m in (1, 2):
             for t in (1, 2, 3):
                 tr = run_retrieval(inst, storage, m, si, t)
                 expect = sum(
-                    table.length(
-                        time_shared_query(inst, m, inst.alphabet.members[si], t, j)
-                    )
+                    lengths[time_shared_query(inst, m, inst.alphabet.members[si], t, j)]
                     for j in range(1, 4)
                 )
                 assert tr.downloaded == expect
