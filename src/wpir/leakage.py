@@ -56,13 +56,6 @@ class LinearForm:
     denominator: int
     constant: Fraction = Fraction(0)
 
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        """Read-only copy: strategy index -> coefficient, in index order."""
-        den = self.denominator
-        return {i: Fraction(v, den)
-                for i, v in zip(self.indices.tolist(), self.numerators.tolist())}
-
     def dense(self, size: int) -> np.ndarray:
         """The int64 numerators of z_0 .. z_{size-1}, the absent ones 0."""
         out = np.zeros(size, dtype=np.int64)

@@ -14,8 +14,9 @@ cost form.  It holds that LP and, stacked from it on first read, the
 second pass's LP, which pushes the download cost down to the lower
 envelope at the optimal leakage; each cost target only sets their caps.
 The exact re-check sums one representative query per query class,
-weighted by the class size.  A brute-force simplex-grid search validates
-the LP from below.
+weighted by the class size.  A brute-force search validates the LP from
+below: it builds and scores only the simplex grid points whose exact cost
+is within the cap.
 """
 from __future__ import annotations
 
@@ -295,6 +296,14 @@ def _class_pmf(weights, sizes) -> list[Fraction]:
     return [v / total for v in w]
 
 
+def _snap(w, sizes) -> list[Fraction] | None:
+    """w with every entry snapped to a denominator of at most
+    _SNAP_DENOMINATOR and renormalized; None when they snap to 0."""
+    snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
+    total = sum((n * v for n, v in zip(sizes, snapped)), Fraction(0))
+    return [v / total for v in snapped] if total > 0 else None
+
+
 def solve_tradeoff_point(fr: Frontier, d_target, lam: int, dim: int) -> TradeoffPoint | None:
     """Optimal leakage at one cost target on the Frontier, then the
     cheapest cost achieving it, made exact.  Returns None when the target
@@ -302,7 +311,12 @@ def solve_tradeoff_point(fr: Frontier, d_target, lam: int, dim: int) -> Tradeoff
 
     Normalizing, snapping and the exact re-check run on one probability
     per strategy class, which gives z exactly as on the lifted vector.
+    Stage 2 may spend its leakage slack walking down a sloped piece of
+    the curve, below the target to an unsnappable point: when it ends
+    below the target, stage 1's answer, snapped, is taken instead if it
+    fits the target and leaks strictly less.
     """
+    d_target = Fraction(d_target)
     p = fr.problem(d_target)
     sol = solve_lp(p)
     if not sol.is_optimal:
@@ -312,16 +326,19 @@ def solve_tradeoff_point(fr: Frontier, d_target, lam: int, dim: int) -> Tradeoff
     capped = solve_lp(replace(fr.stage2, b_ub=b_ub))
     w = _class_pmf((capped if capped.is_optimal else sol).x, fr.sizes)
     val, d_achieved = fr._exact(w)
-    snapped = [v.limit_denominator(_SNAP_DENOMINATOR) for v in w]
-    total = sum((n * v for n, v in zip(fr.sizes, snapped)), Fraction(0))
-    if total > 0:
-        snapped = [v / total for v in snapped]
-        if snapped != w:
+    snapped = _snap(w, fr.sizes)
+    if snapped is not None and snapped != w:
+        val_snapped, d_snapped = fr._exact(snapped)
+        if d_snapped <= d_target and val_snapped.raw_sum <= val.raw_sum:
+            w, val, d_achieved = snapped, val_snapped, d_snapped
+    if d_achieved < d_target:
+        snapped = _snap(_class_pmf(sol.x, fr.sizes), fr.sizes)
+        if snapped is not None:
             val_snapped, d_snapped = fr._exact(snapped)
-            if d_snapped <= Fraction(d_target) and val_snapped.raw_sum <= val.raw_sum:
+            if d_snapped <= d_target and val_snapped.raw_sum < val.raw_sum:
                 w, val, d_achieved = snapped, val_snapped, d_snapped
     return TradeoffPoint(
-        d_target=Fraction(d_target),
+        d_target=d_target,
         d_achieved=d_achieved,
         leakage_sum=val.raw_sum,
         leakage_bits=val.bits,
@@ -354,13 +371,18 @@ def _split(rem: np.ndarray, parts: int) -> np.ndarray:
     return np.column_stack([rows, rem])
 
 
-def _composition_chunks(total: int, size: int):
-    """Integer vectors of the given size summing to total, _CHUNK at a time.
+def _composition_chunks(total: int, size: int, cost=None, cap=None):
+    """Integer vectors of the given size summing to total, at most _CHUNK
+    at a time; with an int64 `cost` vector, only those with row @ cost <=
+    cap.
 
     Rows come in lex order, the first part varying slowest.  A row is a
     head, its leading parts, and a tail, its last `tail` parts.  The heads
     and the tails of every remainder are tabulated once as zero-padded
-    rows; each chunk repeats its heads and adds the gathered tails.
+    rows; each chunk repeats its heads and adds the gathered tails.  Under
+    a cap, a head whose cheapest tail exceeds it is dropped before any of
+    its rows is built, a head whose dearest tail fits keeps every row, and
+    only the rows of the heads in between are tested, one tail cost each.
     """
     # the heads table has grid_point_count(total, lead + 1) rows and the
     # tails table grid_point_count(total, tail + 1): balance them
@@ -379,6 +401,20 @@ def _composition_chunks(total: int, size: int):
     heads = _split(np.array([total], dtype=dtype), lead + 1)
     rem = heads[:, -1].astype(np.int64)
     heads = np.pad(heads[:, :-1], ((0, 0), (0, tail)))
+    partial = np.zeros(len(rem), dtype=bool)
+    if cost is not None:
+        # a tail of sum r costs between r * min and r * max of its weights
+        cheap, dear = int(cost[lead:].min()), int(cost[lead:].max())
+        head_cost = heads @ cost
+        kept = head_cost + rem * cheap <= cap
+        if not kept.any():
+            return
+        heads, rem, head_cost = heads[kept], rem[kept], head_cost[kept]
+        # every tail cost and limit lies within total * max|cost|
+        small = np.int32 if total * int(np.abs(cost).max()) < 2**31 else np.int64
+        tail_cost = (tails @ cost).astype(small)
+        limit = np.minimum(cap - head_cost, rem * dear).astype(small)
+        partial = limit < rem * dear
     # head h owns rows begins[h] <= row < ends[h]
     ends = np.cumsum(counts[rem])
     begins = ends - counts[rem]
@@ -390,8 +426,14 @@ def _composition_chunks(total: int, size: int):
         span = slice(lo, hi + 1)
         reps = np.minimum(ends[span], last) - np.maximum(begins[span], first)
         out = np.repeat(heads[span], reps, axis=0)
-        out += tails.take(np.repeat(shift[span], reps) + np.arange(first, last), axis=0)
-        yield out.astype(np.int64)
+        index = np.repeat(shift[span], reps) + np.arange(first, last)
+        out += tails.take(index, axis=0)
+        if partial[span].any():
+            out = out[tail_cost[index] <= np.repeat(limit[span], reps)]
+        # free the gather index before the int64 copy, the oracle's peak
+        del index
+        if len(out):
+            yield out.astype(np.int64)
 
 
 def grid_point_count(total: int, size: int) -> int:
@@ -408,7 +450,11 @@ def brute_force_min_leakage(
 
     Returns (bits, argmin PMF); independent of the LP by construction.
     Grids of more than DEFAULT_GRID_GUARD points, or whose chunks hold more
-    than DEFAULT_GRID_GUARD entries (read at call time), are refused.
+    than DEFAULT_GRID_GUARD entries (read at call time), are refused, as is
+    a target below the cost form's minimum, before any point is built.
+    Only the points whose exact cost is within the cap are built and
+    scored: row / total is feasible when row @ numerators <= floor((D -
+    constant) * denominator * total).
     """
     step = Fraction(step)
     if not 0 < step <= 1:
@@ -429,8 +475,9 @@ def brute_force_min_leakage(
             f"grid chunks hold {entries} entries ({min(count, _CHUNK)} points x "
             f"|S|={size}) at step {step}, budget {DEFAULT_GRID_GUARD}"
         )
-    cost_vec = cost_form.dense(size) / cost_form.denominator
-    cost_cap = float(Fraction(d_target) - cost_form.constant) + 1e-9
+    if Fraction(d_target) < cost_form.min_on_simplex(size):
+        raise ValueError(f"no grid point satisfies download cost <= {d_target}")
+    cap = math.floor((Fraction(d_target) - cost_form.constant) * cost_form.denominator * total)
     # per-m coefficient matrices, queries x strategies
     probs = table.counts.toarray() / table.n_servers
     per_m = [
@@ -438,29 +485,23 @@ def brute_force_min_leakage(
     ]
     best_sum = None
     best_row = None
-    for arr in _composition_chunks(total, size):
+    for arr in _composition_chunks(total, size, cost_form.dense(size), cap):
         for first in range(0, len(arr), _BLOCK):
             block = arr[first : first + _BLOCK]
             z = block / float(total)
-            feasible = z @ cost_vec <= cost_cap
-            kept = np.count_nonzero(feasible)
-            if not kept:
-                continue
-            zf = z if kept == len(z) else z[feasible]
-            if kept == 1:
+            if len(z) == 1:
                 # a one-column product goes to gemv, whose last bits differ
                 # from gemm's: score the point as two equal columns
-                zf = np.repeat(zf, 2, axis=0)
-            acc = per_m[0] @ zf.T
+                z = np.repeat(z, 2, axis=0)
+            acc = per_m[0] @ z.T
             for mat in per_m[1:]:
-                np.maximum(acc, mat @ zf.T, out=acc)
+                np.maximum(acc, mat @ z.T, out=acc)
             sums = acc.sum(axis=0)
             idx = int(np.argmin(sums))
             if best_sum is None or sums[idx] < best_sum:
                 best_sum = float(sums[idx])
-                best_row = block[feasible][idx]
-    if best_sum is None:
-        raise ValueError(f"no grid point satisfies download cost <= {d_target}")
+                # a copy: a view would keep its whole chunk alive
+                best_row = block[idx].copy()
     z_best = tuple(Fraction(int(v), total) for v in best_row)
     # floats only picked the argmin; report its exact leakage
     exact = maxl(table, z_best).raw_sum

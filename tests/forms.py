@@ -1,6 +1,6 @@
-"""Integer `LinearForm`s built from exact `Fraction` coefficients, forms
-compared by value, a table's per-query views and the exact PMF rule,
-shared by the tests."""
+"""Integer `LinearForm`s built from exact `Fraction` coefficients and
+read back as them, forms compared by value, a table's per-query views and
+the exact PMF rule, shared by the tests."""
 import math
 from fractions import Fraction as F
 
@@ -18,6 +18,13 @@ def linear_form(coeffs, constant=F(0)) -> LinearForm:
     return LinearForm(np.array([i for i, _ in items], dtype=np.int64),
                       np.array([int(c * den) for _, c in items], dtype=np.int64),
                       den, F(constant))
+
+
+def coeffs(form) -> dict:
+    """A LinearForm's coefficients as Fractions: strategy index ->
+    coefficient, in index order."""
+    den = form.denominator
+    return {i: F(v, den) for i, v in zip(form.indices.tolist(), form.numerators.tolist())}
 
 
 def views(table):
@@ -46,7 +53,7 @@ def normalize_pmf(values) -> tuple[F, ...]:
 def exact(forms):
     """A table's forms as comparable values: query -> one
     (coeffs, constant) pair per file."""
-    return {q: tuple((f.coeffs, f.constant) for f in per_m) for q, per_m in forms.items()}
+    return {q: tuple((coeffs(f), f.constant) for f in per_m) for q, per_m in forms.items()}
 
 
 # a cost form on zyqt (3,3,2) that splits strategy classes of the download form

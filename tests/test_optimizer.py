@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from forms import OFF_CLASS as _OFF_CLASS, linear_form, normalize_pmf
+from forms import OFF_CLASS as _OFF_CLASS, coeffs, linear_form, normalize_pmf
 from wpir import leakage, optimizer
 from wpir.leakage import (
     ResourceLimitError,
@@ -187,8 +187,8 @@ _OFF_CLASS_TARGETS = (F(1), F(5, 4), F(3, 2), F(4))
 
 def _constant_on(form, strategy_class):
     """Whether the form's coefficients agree within every strategy class."""
-    seen, coeffs = {}, form.coeffs
-    return all(seen.setdefault(c, coeffs.get(s, F(0))) == coeffs.get(s, F(0))
+    seen, every = {}, coeffs(form)
+    return all(seen.setdefault(c, every.get(s, F(0))) == every.get(s, F(0))
                for s, c in enumerate(strategy_class.tolist()))
 
 
@@ -314,8 +314,8 @@ def test_explicit_zero_coefficient_seeds_as_absent():
     """A cost coefficient of 0 colors its strategy as an absent one does:
     the same partition, reduced LP and points."""
     inst, tables, _ = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
-    assert 7 < inst.alphabet.size and 7 not in _OFF_CLASS.coeffs
-    zeroed = linear_form({**_OFF_CLASS.coeffs, 7: F(0)}, constant=_OFF_CLASS.constant)
+    assert 7 < inst.alphabet.size and 7 not in coeffs(_OFF_CLASS)
+    zeroed = linear_form({**coeffs(_OFF_CLASS), 7: F(0)}, constant=_OFF_CLASS.constant)
     assert zeroed.indices.tolist() == [0, 5, 7] and zeroed.numerators[-1] == 0
     a, b = frontier(tables, _OFF_CLASS), frontier(tables, zeroed)
     assert a is not b
@@ -567,27 +567,31 @@ def test_oracle_block_size_changes_nothing(monkeypatch, block):
     assert _oracle_digest() == ORACLE_SHA256
 
 
-@pytest.mark.parametrize("kind,step,block", [(SchemeKind.OLR, F(1, 30), 7),
-                                             (SchemeKind.ZYQT, F(1, 4), 2)])
-def test_oracle_blocks_cut_the_feasible_region(monkeypatch, kind, step, block):
+@pytest.mark.parametrize("kind,step,block,ds", [
+    pytest.param(SchemeKind.OLR, F(1, 30), 7, (F(5, 2), F(7, 2)), id="olr-step0-7"),
+    pytest.param(SchemeKind.ZYQT, F(1, 4), 2, (F(5, 2), F(7, 2)), id="zyqt-step1-2"),
+    pytest.param(SchemeKind.OLR, F(1, 30), 2, (F(2),), id="olr-step2-2"),
+])
+def test_oracle_blocks_cut_the_feasible_region(monkeypatch, kind, step, block, ds):
     """Block boundaries between two feasible points, and blocks that keep
     one point (a one-column product, which numpy sends to gemv), change
-    no answer from scoring each chunk in one piece."""
+    no answer from scoring each chunk in one piece.  Chunks hold only
+    feasible points, so a one-point block ends a chunk: olr at step 1/30
+    and D = 2 has 31 feasible points, and blocks of 2 end on one."""
     inst, tables, cost = setup_scheme(kind)
     total, size = int(1 / step), inst.alphabet.size
-    for d in (F(5, 2), F(7, 2)):
+    one = False
+    for d in ds:
         cap = math.floor((d - cost.constant) * cost.denominator * total)
-        cut = one = False
-        for arr in optimizer._composition_chunks(total, size):
-            ok = arr @ cost.dense(size) <= cap
-            starts = np.arange(block, len(arr), block)
-            cut |= bool((ok[starts - 1] & ok[starts]).any())
-            one |= bool((np.add.reduceat(ok, np.arange(0, len(arr), block)) == 1).any())
-        assert cut and one
+        lengths = [len(arr) for arr in
+                   optimizer._composition_chunks(total, size, cost.dense(size), cap)]
+        assert max(lengths) > block
+        one |= any(n % block == 1 for n in lengths)
         monkeypatch.setattr("wpir.optimizer._BLOCK", optimizer._CHUNK)
         whole = brute_force_min_leakage(tables[0], cost, d, step=step)
         monkeypatch.setattr("wpir.optimizer._BLOCK", block)
         assert brute_force_min_leakage(tables[0], cost, d, step=step) == whole
+    assert one
 
 
 def test_composition_grid_count():
@@ -626,6 +630,63 @@ def test_composition_chunks_order_and_boundaries(monkeypatch, chunk, total, size
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert len(got) == grid_point_count(total, size)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("total,weights", [(6, (0, 0, 0, 0)), (5, (3, 3, 3)),
+                                           (7, (2, 0, 5, 1, 3)), (4, (1, 2, 3, 0, 2, 1, 3)),
+                                           (10, (4, 1)), (4, (2,)), (300, (1, 3))])
+def test_capped_composition_chunks_equal_the_filtered_reference(monkeypatch, chunk, total,
+                                                                weights):
+    """Under a cap, the chunks hold exactly the reference rows whose cost
+    is within it, in the same order; a cap below the cheapest row yields
+    nothing, and one at or above the dearest gives the uncapped chunks."""
+    if chunk is not None:
+        monkeypatch.setattr("wpir.optimizer._CHUNK", chunk)
+    cost = np.array(weights, dtype=np.int64)
+    size = len(weights)
+    want = _reference_compositions(total, size)
+    costs = want @ cost
+    levels = np.unique(costs).tolist()
+    caps = {levels[0] - 1, levels[-1], levels[-1] + 3, *levels[:: max(1, len(levels) // 6)]}
+    uncapped = list(optimizer._composition_chunks(total, size))
+    for cap in sorted(caps):
+        chunks = list(optimizer._composition_chunks(total, size, cost, cap))
+        assert all(1 <= len(c) <= optimizer._CHUNK for c in chunks)
+        assert all(c.dtype == np.int64 for c in chunks)
+        got = np.concatenate(chunks) if chunks else np.zeros((0, size), dtype=np.int64)
+        assert np.array_equal(got, want[costs <= cap])
+        if cap >= levels[-1]:
+            assert len(chunks) == len(uncapped)
+            assert all(np.array_equal(a, b) for a, b in zip(chunks, uncapped))
+    assert not list(optimizer._composition_chunks(total, size, cost, levels[0] - 1))
+
+
+def test_oracle_refuses_an_infeasible_target_before_the_grid(monkeypatch):
+    """A target below the cost form's minimum fails before any grid point
+    is built."""
+    inst, tables, cost = setup_scheme(SchemeKind.OLR)
+
+    def unbuilt(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr("wpir.optimizer._composition_chunks", unbuilt)
+    low = cost.min_on_simplex(inst.alphabet.size)
+    for d in (low - F(1, 10**9), F(1)):
+        with pytest.raises(ValueError, match="no grid point"):
+            brute_force_min_leakage(tables[0], cost, d, step=F(1, 50))
+
+
+def test_point_on_a_sloped_piece_lands_on_its_target():
+    """Stage 2 spends its leakage slack walking down a sloped piece, below
+    the target, to a point that does not snap; stage 1's answer, snapped,
+    meets the target exactly and leaks less."""
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 4, 3, 2)
+    d = F(242, 59)
+    pt = solve_tradeoff_point(frontier(tables, cost), d, inst.params.lam, inst.dim)
+    assert pt.d_achieved == d
+    assert f"{pt.leakage_bits:.12g}" == "0.449711271718"
+    assert f"{float(pt.rate):.12g}" == "0.487603305785"
 
 
 def test_brute_force_matches_lp_ztsl():

@@ -41,8 +41,10 @@ def test_benchmark_per_layer_names_match_the_tracer(perfbench):
 
 def test_oracle_draws_every_grid_point_from_the_traced_generator(perfbench, monkeypatch):
     """The benchmark counts optimizer.oracle_grid_points on the rows the
-    traced generator yields: the oracle must draw its whole grid from it,
-    in one call, or the per-layer metric reads 0."""
+    traced generator yields: the oracle must draw every grid point under
+    its cap from it, in one call, or the per-layer metric reads 0.  At
+    D = 4 that is the whole grid."""
+    import math
     from fractions import Fraction
 
     from wpir import optimizer
@@ -64,7 +66,14 @@ def test_oracle_draws_every_grid_point_from_the_traced_generator(perfbench, monk
     monkeypatch.setattr(owner, attr, counting)
     table = build_query_table(make_scheme(SchemeKind.OLR, 2, 3, 2), 1)
     assert table.alphabet_size == 6
-    optimizer.brute_force_min_leakage(table, download_cost_form((table,)), 4,
-                                      step=Fraction(1, 30))
+    cost = download_cost_form((table,))
+    optimizer.brute_force_min_leakage(table, cost, 4, step=Fraction(1, 30))
     assert len(calls) == 1
     assert sum(rows) == optimizer.grid_point_count(30, 6)
+    cap = math.floor((2 - cost.constant) * cost.denominator * 30)
+    feasible = sum(int((chunk @ cost.dense(6) <= cap).sum()) for chunk in real(30, 6))
+    calls.clear()
+    rows.clear()
+    optimizer.brute_force_min_leakage(table, cost, 2, step=Fraction(1, 30))
+    assert len(calls) == 1
+    assert sum(rows) == feasible == 31
