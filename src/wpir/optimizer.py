@@ -13,6 +13,10 @@ a z constant on each class.  A sweep builds one Frontier per table and
 cost form.  It holds that LP and, stacked from it on first read, the
 second pass's LP, which pushes the download cost down to the lower
 envelope at the optimal leakage; each cost target only sets their caps.
+Each LP goes straight to HiGHS through the binding that scipy's linprog
+calls, with linprog's options, so it returns linprog's vertex without
+linprog's per-call input checks; linprog itself solves only where scipy
+has no such binding, and every answer's duality gap is checked.
 The exact re-check sums one representative query per query class,
 weighted by the class size.  A brute-force search validates the LP from
 below: it builds and scores only the simplex grid points whose exact cost
@@ -28,6 +32,20 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+
+try:
+    # the HiGHS binding linprog itself calls; scipy.optimize has loaded it
+    from scipy.optimize._highspy._core import (
+        HighsBasisStatus,
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+    )
+except ImportError:  # scipy releases before the binding: linprog solves
+    _Highs = None
 
 from .leakage import (
     ConditionalQueryTable,
@@ -46,6 +64,14 @@ from .leakage import (
 LEAKAGE_CAP_SLACK = 1e-9
 # largest |primal - dual| objective gap accepted from the solver
 MAX_DUALITY_GAP = 1e-9
+# the options linprog sets on HiGHS: quiet, presolve on, dual simplex
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("highs_debug_level", 0),
+    ("presolve", "on"),
+    ("simplex_strategy", 1),
+)
 # largest barycentric grid enumerated by the brute-force oracle
 DEFAULT_GRID_GUARD = 5_000_000
 _CHUNK = 250_000
@@ -65,9 +91,9 @@ class LpProblem:
     epigraph variable per query; in a reduced LP, one per class of
     strategies and one per class of queries, each weighted by its class
     size in c and a_eq.  The last row of a_ub is the cost cap.  `method`
-    is linprog's: the full LP solves faster by interior point
-    ("highs-ipm"), and the Frontier LPs keep "highs", whose optimal
-    vertex the pinned frontier points record.
+    selects HiGHS's solver: the full LP solves faster by interior point
+    ("highs-ipm"), and the Frontier LPs keep "highs", dual simplex, whose
+    optimal vertex the pinned frontier points record.
     """
 
     n_z: int
@@ -107,29 +133,82 @@ def reformulate(tables, cost_form: LinearForm, d_target) -> LpProblem:
     return replace(p, method="highs-ipm")
 
 
-def solve_lp(p: LpProblem) -> LpSolution:
-    res = linprog(
-        p.c,
-        A_ub=p.a_ub,
-        b_ub=p.b_ub,
-        A_eq=p.a_eq,
-        b_eq=p.b_eq,
-        bounds=(0.0, 1.0),
-        method=p.method,
+def _solve_raw(p: LpProblem):
+    """(status, objective, x, row duals, upper-bound marginals) from HiGHS.
+
+    status is "optimal", "infeasible" or the solver's message; the rest
+    are None unless it is "optimal".  The row duals are a_ub's rows, then
+    a_eq's.  Through the binding, HiGHS gets the LP and the options that
+    linprog gives it, row-wise instead of stacked column-wise, which HiGHS
+    converts to the same matrix, so it returns the same vertex; a fresh
+    solver per call keeps the pivot path.  Without the binding, linprog
+    solves.
+    """
+    if _Highs is None:
+        res = linprog(
+            p.c,
+            A_ub=p.a_ub,
+            b_ub=p.b_ub,
+            A_eq=p.a_eq,
+            b_eq=p.b_eq,
+            bounds=(0.0, 1.0),
+            method=p.method,
+        )
+        if res.status != 0:
+            return "infeasible" if res.status == 2 else res.message, None, None, None, None
+        row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+        return "optimal", res.fun, res.x, row_dual, res.upper.marginals
+    n, n_ub = p.c.size, p.a_ub.shape[0]
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_ub + p.a_eq.shape[0]
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.concatenate([p.a_ub.indptr, p.a_eq.indptr[1:] + p.a_ub.nnz])
+    lp.a_matrix_.index_ = np.concatenate([p.a_ub.indices, p.a_eq.indices])
+    lp.a_matrix_.value_ = np.concatenate([p.a_ub.data, p.a_eq.data])
+    lp.col_cost_ = p.c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.ones(n)
+    lp.row_lower_ = np.concatenate([np.full(n_ub, -kHighsInf), p.b_eq])
+    lp.row_upper_ = np.concatenate([p.b_ub, p.b_eq])
+    highs = _Highs()
+    for name, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    if p.method == "highs-ipm":
+        highs.setOptionValue("solver", "ipm")
+    if highs.passModel(lp) == HighsStatus.kError:
+        return "HiGHS rejected the model", None, None, None, None
+    highs.run()
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kInfeasible:
+        return "infeasible", None, None, None, None
+    if status != HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(status), None, None, None, None
+    solution = highs.getSolution()
+    at_upper = np.array(highs.getBasis().col_status, dtype=np.int8) == int(HighsBasisStatus.kUpper)
+    upper = np.where(at_upper, solution.col_dual, 0.0)
+    return (
+        "optimal", highs.getInfo().objective_function_value,
+        np.array(solution.col_value), np.array(solution.row_dual), upper,
     )
-    if res.status == 2:
+
+
+def solve_lp(p: LpProblem) -> LpSolution:
+    status, objective, x, row_dual, upper = _solve_raw(p)
+    if status == "infeasible":
         return LpSolution(
             status="infeasible", objective=None, x=None, duality_gap=None
         )
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    if status != "optimal":
+        raise RuntimeError(f"LP solver failed: {status}")
     # strong duality: c.x equals the rhs-weighted sum of the marginals
+    n_ub = p.a_ub.shape[0]
     dual = (
-        p.b_ub @ res.ineqlin.marginals
-        + p.b_eq @ res.eqlin.marginals
-        + np.sum(res.upper.marginals * 1.0)
+        p.b_ub @ row_dual[:n_ub]
+        + p.b_eq @ row_dual[n_ub:]
+        + np.sum(upper * 1.0)
     )
-    gap = abs(float(res.fun) - float(dual))
+    gap = abs(float(objective) - float(dual))
     if gap > MAX_DUALITY_GAP:
         raise RuntimeError(
             f"LP solver certificate fails: duality gap {gap:.3e} exceeds "
@@ -137,7 +216,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
         )
     # a copy: a view would keep the solver's whole result alive
     return LpSolution(
-        status="optimal", objective=float(res.fun), x=res.x[: p.n_z].copy(),
+        status="optimal", objective=float(objective), x=x[: p.n_z].copy(),
         duality_gap=gap,
     )
 

@@ -9,7 +9,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
 
 from forms import OFF_CLASS as _OFF_CLASS, coeffs, linear_form, normalize_pmf
 from wpir import leakage, optimizer
@@ -741,20 +740,90 @@ def test_brute_force_guards(monkeypatch):
             brute_force_min_leakage(tables[0], cost, 4, step=F(1))
 
 
-def test_solve_lp_rejects_duality_gap(monkeypatch):
+_BODIES = [
+    pytest.param("binding", marks=pytest.mark.skipif(
+        optimizer._Highs is None, reason="this scipy has no HiGHS binding module")),
+    "linprog",
+]
+
+
+def _on_body(monkeypatch, body):
+    """Make the raw solve take `body`: the binding, or linprog forced."""
+    if body == "linprog":
+        monkeypatch.setattr(optimizer, "_Highs", None)
+
+
+@pytest.mark.parametrize("body", _BODIES)
+def test_solve_lp_rejects_duality_gap(monkeypatch, body):
     """A solver answer whose primal and dual objectives disagree is refused."""
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
     p = reformulate(tables, cost, 4)
-    real = linprog
+    _on_body(monkeypatch, body)
+    real = optimizer._solve_raw
 
-    def skewed(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.fun += 1e-6
-        return res
+    def skewed(q):
+        status, objective, *rest = real(q)
+        return (status, objective + 1e-6, *rest)
 
-    monkeypatch.setattr("wpir.optimizer.linprog", skewed)
+    monkeypatch.setattr(optimizer, "_solve_raw", skewed)
     with pytest.raises(RuntimeError, match="duality gap"):
         solve_lp(p)
+
+
+@pytest.mark.skipif(optimizer._Highs is None, reason="this scipy has no HiGHS binding module")
+def test_solve_lp_raises_on_a_model_highs_rejects():
+    """A matrix with a column index past c's length is refused at load."""
+    p = LpProblem(
+        n_z=1, c=np.array([-1.0, 0.0]),
+        a_ub=sparse.csr_matrix(np.array([[1.0, 1.0, 1.0]])), b_ub=np.array([5.0]),
+        a_eq=sparse.csr_matrix(np.array([[0.0, 2.0, 0.0]])), b_eq=np.array([1.0]))
+    with pytest.raises(RuntimeError, match="rejected the model"):
+        solve_lp(p)
+
+
+def _sweep_lps(monkeypatch, instance, grid):
+    """Every LP one sweep hands solve_lp, in order."""
+    inst, tables, cost = setup_scheme(*instance)
+    fr = frontier(tables, cost)
+    lps, real = [], optimizer.solve_lp
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "solve_lp", lambda p: lps.append(p) or real(p))
+        for d in default_grid(cost, inst.alphabet.size, grid):
+            solve_tradeoff_point(fr, d, inst.params.lam, inst.dim)
+    return lps
+
+
+@pytest.mark.skipif(optimizer._Highs is None, reason="this scipy has no HiGHS binding module")
+def test_binding_solves_bitwise_equal_to_linprog(monkeypatch):
+    """The binding returns linprog's vertex, objective and duality gap bit
+    for bit on every LP of three sweeps (the frontier benchmark's among
+    them), on one interior-point full LP and on one LP with a variable at
+    its upper bound, and says infeasible with linprog below the cost
+    form's minimum."""
+    lps = (_sweep_lps(monkeypatch, (SchemeKind.ZYQT, 4, 3, 2), 10)
+           + _sweep_lps(monkeypatch, (SchemeKind.ZYQT, 2, 5, 3), 2)
+           + _sweep_lps(monkeypatch, (SchemeKind.OLR, 2, 3, 2), 40))
+    assert len(lps) == 2 * (10 + 2 + 40)
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT)
+    # min -z with t = 1/2: z sits at its upper bound, whose marginal is
+    # the whole dual objective
+    at_upper = LpProblem(
+        n_z=1, c=np.array([-1.0, 0.0]),
+        a_ub=sparse.csr_matrix(np.array([[1.0, 1.0]])), b_ub=np.array([5.0]),
+        a_eq=sparse.csr_matrix(np.array([[0.0, 2.0]])), b_eq=np.array([1.0]))
+    low = cost.min_on_simplex(inst.alphabet.size) - F(1, 10)
+    lps += [at_upper, reformulate(tables, cost, F(7, 2)), frontier(tables, cost).problem(low)]
+
+    def bits(sol):
+        if not sol.is_optimal:
+            return sol.status
+        return sol.x.tobytes(), float(sol.objective).hex(), float(sol.duality_gap).hex()
+
+    got = [bits(solve_lp(p)) for p in lps]
+    _on_body(monkeypatch, "linprog")
+    want = [bits(solve_lp(p)) for p in lps]
+    assert got == want
+    assert got[-1] == "infeasible" and got[-2] != "infeasible"
 
 
 _CAPACITY = ([(kind, *p) for kind in SchemeKind for p in ((2, 3, 2), (2, 5, 3), (3, 3, 2))]
