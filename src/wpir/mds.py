@@ -60,22 +60,3 @@ def make_rs_code(n_total: int, dim: int, fld: PrimeField) -> MdsCode:
     if gen.submatrix(range(dim), range(dim)) != FieldMatrix.identity(dim, fld):
         raise ValueError("row reduction did not produce a systematic generator")
     return MdsCode(n_total, dim, gen)
-
-
-def encode_row(code: MdsCode, w) -> tuple[int, ...]:
-    """Codeword w @ G, as residues, for a length-K message row w of ints."""
-    if len(w) != code.dim:
-        raise ValueError(f"message length {len(w)} != K={code.dim}")
-    return tuple((FieldMatrix.from_ints([w], code.field) @ code.generator).to_ints()[0])
-
-
-def decode_from(code: MdsCode, positions, symbols) -> tuple:
-    """Recover the message row, as residues, from any K codeword coordinates."""
-    if len(positions) != code.dim or len(symbols) != code.dim:
-        raise ValueError(f"need exactly K={code.dim} coordinates")
-    sub = code.generator.submatrix(range(code.dim), positions)
-    # w @ G[:, pos] = y  <=>  G[:, pos]^T w^T = y^T
-    res = solve_linear(FieldMatrix.from_ints(sub.residues.T, code.field), list(symbols))
-    if res.status != "unique":
-        raise ValueError("coordinates do not determine the message (not MDS?)")
-    return res.solution

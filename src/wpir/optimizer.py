@@ -15,8 +15,7 @@ second pass's LP, which pushes the download cost down to the lower
 envelope at the optimal leakage; each cost target only sets their caps.
 Each LP goes straight to HiGHS through the binding that scipy's linprog
 calls, with linprog's options, so it returns linprog's vertex without
-linprog's per-call input checks; linprog itself solves only where scipy
-has no such binding, and every answer's duality gap is checked.
+linprog's per-call input checks, and every answer's duality gap is checked.
 The exact re-check sums one representative query per query class,
 weighted by the class size.  A brute-force search validates the LP from
 below: it builds and scores only the simplex grid points whose exact cost
@@ -31,21 +30,20 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+# nothing here calls linprog: the name stays bound because perfbench's
+# optimizer.highs span targets wpir.optimizer:linprog; without it that
+# target does not resolve and a traced run drops the span's metrics
 from scipy.optimize import linprog
-
-try:
-    # the HiGHS binding linprog itself calls; scipy.optimize has loaded it
-    from scipy.optimize._highspy._core import (
-        HighsBasisStatus,
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-        kHighsInf,
-    )
-except ImportError:  # scipy releases before the binding: linprog solves
-    _Highs = None
+# the HiGHS binding linprog itself calls; scipy.optimize has loaded it
+from scipy.optimize._highspy._core import (
+    HighsBasisStatus,
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+)
 
 from .leakage import (
     ConditionalQueryTable,
@@ -141,23 +139,8 @@ def _solve_raw(p: LpProblem):
     a_eq's.  Through the binding, HiGHS gets the LP and the options that
     linprog gives it, row-wise instead of stacked column-wise, which HiGHS
     converts to the same matrix, so it returns the same vertex; a fresh
-    solver per call keeps the pivot path.  Without the binding, linprog
-    solves.
+    solver per call keeps the pivot path.
     """
-    if _Highs is None:
-        res = linprog(
-            p.c,
-            A_ub=p.a_ub,
-            b_ub=p.b_ub,
-            A_eq=p.a_eq,
-            b_eq=p.b_eq,
-            bounds=(0.0, 1.0),
-            method=p.method,
-        )
-        if res.status != 0:
-            return "infeasible" if res.status == 2 else res.message, None, None, None, None
-        row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
-        return "optimal", res.fun, res.x, row_dual, res.upper.marginals
     n, n_ub = p.c.size, p.a_ub.shape[0]
     lp = HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n

@@ -1,11 +1,13 @@
 """Integer `LinearForm`s built from exact `Fraction` coefficients and
-read back as them, forms compared by value, a table's per-query views and
-the exact PMF rule, shared by the tests."""
+read back as them, forms compared by value, a table's per-query views,
+the exact PMF rule, and an MDS code's row encoder and erasure decoder,
+shared by the tests."""
 import math
 from fractions import Fraction as F
 
 import numpy as np
 
+from wpir.fields import FieldMatrix, solve_linear
 from wpir.leakage import LinearForm
 from wpir.schemes import QueryMatrix
 
@@ -54,6 +56,28 @@ def exact(forms):
     """A table's forms as comparable values: query -> one
     (coeffs, constant) pair per file."""
     return {q: tuple((coeffs(f), f.constant) for f in per_m) for q, per_m in forms.items()}
+
+
+def encode_row(code, w) -> tuple[int, ...]:
+    """Codeword w @ G, one multiply-add mod q per entry."""
+    q = code.field.q
+    g = code.generator.to_ints()
+    out = []
+    for j in range(code.n_total):
+        total = 0
+        for i in range(code.dim):
+            total = (total + w[i] * g[i][j]) % q
+        out.append(total)
+    return tuple(out)
+
+
+def decode_from(code, positions, symbols) -> tuple:
+    """The message row, as residues, from the K codeword coordinates at
+    `positions`: w @ G[:, pos] = y, solved as G[:, pos]^T w^T = y^T."""
+    sub = code.generator.submatrix(range(code.dim), positions)
+    res = solve_linear(FieldMatrix.from_ints(sub.residues.T, code.field), list(symbols))
+    assert res.status == "unique", "coordinates do not determine the message"
+    return res.solution
 
 
 # a cost form on zyqt (3,3,2) that splits strategy classes of the download form

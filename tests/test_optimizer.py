@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from forms import OFF_CLASS as _OFF_CLASS, coeffs, linear_form, normalize_pmf
 from wpir import leakage, optimizer
@@ -740,25 +741,21 @@ def test_brute_force_guards(monkeypatch):
             brute_force_min_leakage(tables[0], cost, 4, step=F(1))
 
 
-_BODIES = [
-    pytest.param("binding", marks=pytest.mark.skipif(
-        optimizer._Highs is None, reason="this scipy has no HiGHS binding module")),
-    "linprog",
-]
+def _linprog_raw(p: LpProblem):
+    """_solve_raw's answer from scipy's linprog, the reference the binding
+    is held to: status "optimal", "infeasible" or linprog's message."""
+    res = linprog(p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
+                  bounds=(0.0, 1.0), method=p.method)
+    if res.status != 0:
+        return "infeasible" if res.status == 2 else res.message, None, None, None, None
+    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+    return "optimal", res.fun, res.x, row_dual, res.upper.marginals
 
 
-def _on_body(monkeypatch, body):
-    """Make the raw solve take `body`: the binding, or linprog forced."""
-    if body == "linprog":
-        monkeypatch.setattr(optimizer, "_Highs", None)
-
-
-@pytest.mark.parametrize("body", _BODIES)
-def test_solve_lp_rejects_duality_gap(monkeypatch, body):
+def test_solve_lp_rejects_duality_gap(monkeypatch):
     """A solver answer whose primal and dual objectives disagree is refused."""
     inst, tables, cost = setup_scheme(SchemeKind.ZTSL)
     p = reformulate(tables, cost, 4)
-    _on_body(monkeypatch, body)
     real = optimizer._solve_raw
 
     def skewed(q):
@@ -770,7 +767,6 @@ def test_solve_lp_rejects_duality_gap(monkeypatch, body):
         solve_lp(p)
 
 
-@pytest.mark.skipif(optimizer._Highs is None, reason="this scipy has no HiGHS binding module")
 def test_solve_lp_raises_on_a_model_highs_rejects():
     """A matrix with a column index past c's length is refused at load."""
     p = LpProblem(
@@ -793,7 +789,19 @@ def _sweep_lps(monkeypatch, instance, grid):
     return lps
 
 
-@pytest.mark.skipif(optimizer._Highs is None, reason="this scipy has no HiGHS binding module")
+def test_solve_lp_raises_when_highs_stops_short(monkeypatch):
+    """A status neither optimal nor infeasible is a failure, not an answer:
+    with presolve off and no simplex iteration allowed, HiGHS stops at its
+    iteration limit on an LP it otherwise solves."""
+    inst, tables, cost = setup_scheme(SchemeKind.ZYQT, 3, 3, 2)
+    p = frontier(tables, cost).problem(3)
+    assert solve_lp(p).is_optimal
+    monkeypatch.setattr(optimizer, "_HIGHS_OPTIONS", optimizer._HIGHS_OPTIONS + (
+        ("presolve", "off"), ("simplex_iteration_limit", 0)))
+    with pytest.raises(RuntimeError, match="LP solver failed"):
+        solve_lp(p)
+
+
 def test_binding_solves_bitwise_equal_to_linprog(monkeypatch):
     """The binding returns linprog's vertex, objective and duality gap bit
     for bit on every LP of three sweeps (the frontier benchmark's among
@@ -820,7 +828,7 @@ def test_binding_solves_bitwise_equal_to_linprog(monkeypatch):
         return sol.x.tobytes(), float(sol.objective).hex(), float(sol.duality_gap).hex()
 
     got = [bits(solve_lp(p)) for p in lps]
-    _on_body(monkeypatch, "linprog")
+    monkeypatch.setattr(optimizer, "_solve_raw", _linprog_raw)
     want = [bits(solve_lp(p)) for p in lps]
     assert got == want
     assert got[-1] == "infeasible" and got[-2] != "infeasible"

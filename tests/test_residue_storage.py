@@ -1,10 +1,11 @@
 """Residue-array storage, answers and decode systems against scalar
 element-by-element implementations.
 
-The `_reference_*` functions are per-entry Python loops on int residues,
-kept here as oracles: the stacked columns, the server's answer sums and
-the decoder's linear system must come out identical, on small fields and
-on q = 65521, the largest prime whose residues fit the 2-byte wire.
+The `_reference_*` functions and the row encoder from `forms` are
+per-entry Python loops on int residues, kept as oracles: the stacked
+columns, the server's answer sums and the decoder's linear system must
+come out identical, on small fields and on q = 65521, the largest prime
+whose residues fit the 2-byte wire.
 """
 from functools import lru_cache
 from unittest import mock
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forms import encode_row
 from wpir import protocol
 from wpir.fields import PrimeField
 from wpir.mds import make_rs_code
@@ -45,25 +47,12 @@ SCHEME_INSTANCES = (
 )
 
 
-def _reference_encode_row(code, w):
-    """Codeword w @ G, one multiply-add mod q per entry."""
-    q = code.field.q
-    g = code.generator.to_ints()
-    out = []
-    for j in range(code.n_total):
-        total = 0
-        for i in range(code.dim):
-            total = (total + w[i] * g[i][j]) % q
-        out.append(total)
-    return tuple(out)
-
-
 def _reference_columns(file_set, code):
     """Per-server stacked columns as tuples of residues."""
     params = effective_params(code.n_total, code.dim)
     lam, k = params.lam, params.k
     encoded = [
-        [_reference_encode_row(code, f.to_ints()[i]) for i in range(lam)]
+        [encode_row(code, f.to_ints()[i]) for i in range(lam)]
         for f in file_set.files
     ]
     return tuple(

@@ -1,8 +1,9 @@
 """Tests for effective parameters, file sets, and encoded storage columns."""
 import pytest
 
+from forms import decode_from
 from wpir.fields import FieldMatrix, PrimeField
-from wpir.mds import decode_from, make_rs_code
+from wpir.mds import make_rs_code
 from wpir.storage import (
     EffectiveParams,
     FileSet,
